@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck govulncheck lint verify bench bench-full bench-smoke bench-serving kernel-smoke chaos serving-chaos retrain-chaos fuzz-smoke cover
+.PHONY: build test race vet fmt-check staticcheck govulncheck lint verify bench bench-check bench-full bench-smoke bench-serving kernel-smoke chaos serving-chaos retrain-chaos fuzz-smoke cover
 
 build:
 	$(GO) build ./...
@@ -102,12 +102,21 @@ cover:
 		echo "coverage $$total% is below baseline $(COVER_BASELINE)%"; exit 1; \
 	fi
 
+# bench-check compiles, vets and unit-tests the serving ledger. bench/ is a
+# module of its own (the benchmark contract wants it self-contained), so the
+# root ./... wildcards never reach it; this target is what makes a refactor
+# that drops a symbol the ledger imports (the contract list at the end of
+# bench/README.md) fail the gate instead of the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the pre-merge gate: static checks, the kernel smoke, the chaos
-# suite, the fuzz corpus smoke, plus the full suite under the race detector
-# (the serving engine is concurrent; see DESIGN.md §7). Every target uses
-# ./... wildcards, so cmd/simserve and cmd/simload ride lint, chaos (the
-# TestChaosServing suite), and race automatically.
-verify: lint kernel-smoke chaos fuzz-smoke race
+# suite, the fuzz corpus smoke, the ledger's compile-and-test check, plus the
+# full suite under the race detector (the serving engine is concurrent; see
+# DESIGN.md §7). Every root target uses ./... wildcards, so cmd/simserve and
+# cmd/simload ride lint, chaos (the TestChaosServing suite), and race
+# automatically; bench/ rides bench-check.
+verify: lint kernel-smoke chaos fuzz-smoke bench-check race
 
 # bench regenerates the tracked kernel + end-to-end baseline (short
 # benchtime; commits as BENCH_kernels.json). -workers 4 exercises the

@@ -255,7 +255,10 @@ func BuildJoinWorkload(d *Dataset, opts JoinOptions) ([]JoinSet, error) {
 // Estimator is a trained cardinality estimator for similarity search and
 // join queries. After training, estimators are safe for concurrent use:
 // EstimateSearch, EstimateSearchBatch, and EstimateJoin may be called from
-// many goroutines against one trained instance.
+// many goroutines against one trained instance. The methods have no error
+// channel — a fault inside an estimator panics — so serving code wraps an
+// Estimator with Harden, whose Ctx methods run the same estimate at no
+// extra cost and return typed errors instead.
 type Estimator interface {
 	// Name identifies the method (Table 2 naming).
 	Name() string

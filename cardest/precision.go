@@ -1,11 +1,6 @@
 package cardest
 
-import (
-	"context"
-
-	"simquery/internal/faulttol"
-	"simquery/internal/model"
-)
+import "simquery/internal/model"
 
 // Precision selects the serving tier of the mixed-precision inference
 // plane (DESIGN.md §14): F64 is the reference path, F32 serves from
@@ -25,81 +20,3 @@ const (
 // ParsePrecision converts a -precision flag value ("f64", "f32", "int8")
 // to a Precision.
 func ParsePrecision(s string) (Precision, error) { return model.ParsePrecision(s) }
-
-// PrecisionEstimator is implemented by estimators that can serve from a
-// lowered inference plane. PreCheckPrecision must eagerly build (and
-// cache) the plane so a failing tier is rejected at configuration time;
-// the estimate methods must answer tier p, falling back to the reference
-// path only for p == F64.
-type PrecisionEstimator interface {
-	PreCheckPrecision(p Precision) error
-	EstimateSearchPrecision(q []float64, tau float64, p Precision) (float64, error)
-	EstimateSearchBatchPrecision(qs [][]float64, taus []float64, p Precision) ([]float64, error)
-}
-
-// EstimateSearchPrecision implements PrecisionEstimator on the lowered
-// BasicModel plane (PreCheckPrecision is promoted from the embedded model).
-func (b basicEstimator) EstimateSearchPrecision(q []float64, tau float64, p Precision) (float64, error) {
-	return b.BasicModel.EstimateSearchLowered(q, tau, p)
-}
-
-// EstimateSearchBatchPrecision implements PrecisionEstimator: one lowered
-// forward pass for the whole batch.
-func (b basicEstimator) EstimateSearchBatchPrecision(qs [][]float64, taus []float64, p Precision) ([]float64, error) {
-	return b.BasicModel.EstimateSearchBatchLowered(qs, taus, p)
-}
-
-// PreCheckPrecision implements PrecisionEstimator: it eagerly lowers the
-// global router and every local model.
-func (g *GlobalLocalEstimator) PreCheckPrecision(p Precision) error {
-	return g.gl.PreCheckPrecision(p)
-}
-
-// EstimateSearchPrecision implements PrecisionEstimator on the tiered
-// global-local plane.
-func (g *GlobalLocalEstimator) EstimateSearchPrecision(q []float64, tau float64, p Precision) (float64, error) {
-	return g.gl.EstimateSearchPrecision(q, tau, p)
-}
-
-// EstimateSearchBatchPrecision implements PrecisionEstimator: f32 routing,
-// grouped lowered local sub-batches in parallel, deterministic merge.
-func (g *GlobalLocalEstimator) EstimateSearchBatchPrecision(qs [][]float64, taus []float64, p Precision) ([]float64, error) {
-	return g.gl.EstimateSearchBatchPrecision(qs, taus, p)
-}
-
-// searchPrecision runs one estimate on the hardened wrapper's resolved
-// serving tier: panic-captured and context-checked at the boundaries (the
-// lowered plane has no cooperative cancellation — sub-batch granularity
-// bounds the overrun).
-func (r *RobustEstimator) searchPrecision(ctx context.Context, pe PrecisionEstimator, q []float64, tau float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var v float64
-	err := faulttol.Capture(func() error {
-		var ierr error
-		v, ierr = pe.EstimateSearchPrecision(q, tau, r.precision)
-		return ierr
-	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	return v, err
-}
-
-// searchBatchPrecision is searchPrecision for the batched path.
-func (r *RobustEstimator) searchBatchPrecision(ctx context.Context, pe PrecisionEstimator, qs [][]float64, taus []float64) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []float64
-	err := faulttol.Capture(func() error {
-		var ierr error
-		out, ierr = pe.EstimateSearchBatchPrecision(qs, taus, r.precision)
-		return ierr
-	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	return out, err
-}

@@ -8,6 +8,7 @@ import (
 	"simquery/internal/estcache"
 	"simquery/internal/faultinject"
 	"simquery/internal/faulttol"
+	"simquery/internal/model"
 	"simquery/internal/probe"
 	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
@@ -18,17 +19,6 @@ import (
 // before any model work (load shedding, counted in
 // simquery_shed_requests_total).
 var ErrOverloaded = faulttol.ErrOverloaded
-
-// ContextEstimator is implemented by estimators whose estimate paths
-// cooperate with a request context (cancellation checks between
-// sub-batches) and isolate per-segment panics. GlobalLocalEstimator
-// implements it; RobustEstimator prefers it when present and otherwise
-// falls back to panic-captured plain calls with context checks at the
-// boundaries.
-type ContextEstimator interface {
-	EstimateSearchCtx(ctx context.Context, q []float64, tau float64) (float64, error)
-	EstimateSearchBatchCtx(ctx context.Context, qs [][]float64, taus []float64) ([]float64, error)
-}
 
 // ServeOptions configures Harden. The zero value is a transparent wrapper:
 // no deadline, no admission limit, no fallback — but still panic-isolated
@@ -70,26 +60,26 @@ type ServeOptions struct {
 	// §16). Ignored by plain Harden — the knobs live on the Adapter.
 	Adapt *AdaptOptions
 	// Precision selects the serving tier (F64, F32, Int8). Non-F64 tiers
-	// apply only when the primary implements PrecisionEstimator and its
-	// PreCheckPrecision passes at Harden time; otherwise serving falls back
-	// to F64 (counted in simquery_precision_fallbacks_total). The estimate
-	// cache is precision-agnostic: entries are keyed on the incoming f64
-	// query, so repeated queries hit regardless of the tier that filled
-	// them.
+	// apply only when the primary is a learned model with a lowered plane
+	// (the global-local family, qes, mlp) whose pre-check passes at Harden
+	// time; otherwise serving falls back to F64 (counted in
+	// simquery_precision_fallbacks_total). The estimate cache is
+	// precision-agnostic: entries are keyed on the incoming f64 query, so
+	// repeated queries hit regardless of the tier that filled them.
 	Precision Precision
 }
 
 // RobustEstimator is the fault-tolerant serving wrapper produced by
 // Harden: admission control, per-request deadlines, panic isolation,
 // numeric-health guards, and automatic degradation to a fallback
-// estimator. All methods are safe for concurrent use (the wrapped
-// estimators already are; the gate is atomic).
-//
-// The no-fault overhead per request is O(1): one atomic add/sub for the
-// gate, one branch for the fault-injection guard, and two float
-// classifications per output value.
+// estimator. This is the path production serves on (simserve, the Adapter,
+// every replica) — the hot path: on top of the bare model a no-fault
+// estimate costs one atomic add/sub for the gate, one branch for the
+// fault-injection guard and two float classifications per output value, and
+// allocates nothing. All methods are safe for concurrent use.
 type RobustEstimator struct {
 	primary   Estimator
+	serve     served
 	fallback  Estimator
 	gate      *faulttol.Gate
 	deadline  time.Duration
@@ -98,22 +88,91 @@ type RobustEstimator struct {
 	precision Precision
 }
 
-// Harden wraps a trained estimator in the fault-tolerant serving path.
-// A requested non-F64 precision tier is resolved here: the primary must
-// implement PrecisionEstimator and pass its precision pre-check (which
-// eagerly lowers and caches the inference plane); otherwise the wrapper
-// serves F64.
-func Harden(e Estimator, opts ServeOptions) *RobustEstimator {
-	p := opts.Precision
-	if p != F64 {
-		pe, ok := e.(PrecisionEstimator)
-		if !ok || pe.PreCheckPrecision(p) != nil {
-			telemetry.Default().Count(telemetry.MetricPrecisionFallbacks, 1)
+// served is the one shape the hardened paths call the primary through:
+// context-aware, error-returning, searches at tier p (joins always run F64).
+// Harden resolves the implementation and the tier once (resolveServed).
+type served interface {
+	search(ctx context.Context, q []float64, tau float64, p Precision) (float64, error)
+	searchBatch(ctx context.Context, qs [][]float64, taus []float64, p Precision) ([]float64, error)
+	join(ctx context.Context, qs [][]float64, tau float64) (float64, error)
+}
+
+// resolveServed picks how the wrapper reaches e and the tier it serves,
+// given the requested one. The global-local family is served natively (its
+// pipeline checks ctx between local models, isolates a panic to its segment
+// and runs every tier); everything else through shim — on the lowered plane
+// for a basic model that has the requested one, on F64 otherwise.
+func resolveServed(e Estimator, p Precision) (served, Precision) {
+	switch v := e.(type) {
+	case *model.GlobalLocal:
+		return resolveServed(&GlobalLocalEstimator{gl: v}, p)
+	case *GlobalLocalEstimator:
+		if v.gl.PreCheckPrecision(p) != nil { // eagerly lowers router and locals
 			p = F64
 		}
+		return v, p
+	case basicEstimator:
+		if p != F64 && v.PreCheckPrecision(p) == nil {
+			return shim{e, v.BasicModel}, p
+		}
+	}
+	return shim{e, nil}, F64
+}
+
+// shim reaches an estimator with no cooperative path through its plain
+// methods, panic-captured with ctx checked at the call boundaries (a
+// best-effort deadline). low, when set, is the basic model whose lowered
+// plane answers search estimates instead.
+type shim struct {
+	e   Estimator
+	low *model.BasicModel
+}
+
+func (s shim) search(ctx context.Context, q []float64, tau float64, p Precision) (float64, error) {
+	return bounded(ctx, func() (float64, error) {
+		if s.low != nil {
+			return s.low.EstimateSearchLowered(q, tau, p)
+		}
+		return s.e.EstimateSearch(q, tau), nil
+	})
+}
+
+func (s shim) searchBatch(ctx context.Context, qs [][]float64, taus []float64, p Precision) ([]float64, error) {
+	return bounded(ctx, func() ([]float64, error) {
+		if s.low != nil {
+			return s.low.EstimateSearchBatchLowered(qs, taus, p)
+		}
+		return s.e.EstimateSearchBatch(qs, taus), nil
+	})
+}
+
+func (s shim) join(ctx context.Context, qs [][]float64, tau float64) (float64, error) {
+	return bounded(ctx, func() (float64, error) { return s.e.EstimateJoin(qs, tau), nil })
+}
+
+// bounded runs f panic-captured between two context checks.
+func bounded[T any](ctx context.Context, f func() (T, error)) (v T, err error) {
+	if err = ctx.Err(); err == nil {
+		err = faulttol.Capture(func() (err error) { v, err = f(); return err })
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	return v, err
+}
+
+// Harden wraps a trained estimator in the fault-tolerant serving path. How
+// the primary is called and which precision tier it serves are resolved
+// here, once: a requested non-F64 tier the primary cannot serve (no lowered
+// plane, or its eager pre-check fails) falls back to F64.
+func Harden(e Estimator, opts ServeOptions) *RobustEstimator {
+	serve, p := resolveServed(e, opts.Precision)
+	if p != opts.Precision {
+		telemetry.Default().Count(telemetry.MetricPrecisionFallbacks, 1)
 	}
 	return &RobustEstimator{
 		primary:   e,
+		serve:     serve,
 		fallback:  opts.Fallback,
 		gate:      faulttol.NewGate(opts.MaxInFlight),
 		deadline:  opts.Deadline,
@@ -171,30 +230,33 @@ func (r *RobustEstimator) SizeBytes() int { return r.primary.SizeBytes() }
 func (r *RobustEstimator) Primary() Estimator { return r.primary }
 
 // admit claims an admission slot and applies the configured deadline,
-// returning the possibly-derived context, a cleanup function, and
-// ErrOverloaded on shed. The cleanup must be called iff err is nil.
-func (r *RobustEstimator) admit(ctx context.Context) (context.Context, func(), error) {
+// returning the possibly-derived context and its cancel function (nil when
+// no deadline was derived), or ErrOverloaded on shed. On success the caller
+// must release(cancel).
+func (r *RobustEstimator) admit(ctx context.Context) (context.Context, context.CancelFunc, error) {
 	if !r.gate.TryAcquire() {
 		telemetry.Default().Count(telemetry.MetricShedRequests, 1)
 		return ctx, nil, ErrOverloaded
 	}
-	cancel := context.CancelFunc(nil)
 	if r.deadline > 0 {
 		if _, has := ctx.Deadline(); !has {
-			ctx, cancel = context.WithTimeout(ctx, r.deadline)
+			ctx, cancel := context.WithTimeout(ctx, r.deadline)
+			return ctx, cancel, nil
 		}
 	}
-	return ctx, func() {
-		if cancel != nil {
-			cancel()
-		}
-		r.gate.Release()
-	}, nil
+	return ctx, nil, nil
+}
+
+// release undoes a successful admit.
+func (r *RobustEstimator) release(cancel context.CancelFunc) {
+	if cancel != nil {
+		cancel()
+	}
+	r.gate.Release()
 }
 
 // ctxFailure reports whether err is a cancellation/deadline error — those
-// are returned to the caller as-is, with no fallback attempt (a timed-out
-// request has no budget left for a second estimator).
+// are returned to the caller as-is, with no fallback attempt.
 func ctxFailure(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -256,9 +318,9 @@ func (r *RobustEstimator) searchHardened(ctx context.Context, tr *reqtrace.Trace
 			tr.SetFlag(reqtrace.FlagCacheBypass)
 		} else {
 			r.cache.SetGeneration(ModelGeneration())
-			st := tr.StartStage(reqtrace.StageCacheLookup)
+			st := reqtrace.StartStage(tr, reqtrace.StageCacheLookup)
 			v, outcome, err := r.cache.GetOrFillOutcome(q, tau, func(anchors []float64) ([]float64, error) {
-				ft := tr.StartStage(reqtrace.StageCacheFill)
+				ft := reqtrace.StartStage(tr, reqtrace.StageCacheFill)
 				defer ft.End()
 				return r.fillAnchors(ctx, q, anchors)
 			})
@@ -280,106 +342,101 @@ func (r *RobustEstimator) searchHardened(ctx context.Context, tr *reqtrace.Trace
 			markPanic(tr, err)
 		}
 	}
-	ctx, done, err := r.admit(ctx)
+	return r.one(ctx, tr, func(ctx context.Context) (float64, error) {
+		return r.serve.search(ctx, q, tau, r.precision)
+	}, func() float64 { return r.fallback.EstimateSearch(q, tau) })
+}
+
+// one runs a single-valued request — a search or a join — through guarded,
+// with the numeric-health guard on both the primary's and the fallback's
+// answer.
+func (r *RobustEstimator) one(ctx context.Context, tr *reqtrace.Trace, primary func(context.Context) (float64, error), fallback func() float64) (v float64, err error) {
+	err = r.guarded(ctx, tr, 1, func(ctx context.Context) (err error) {
+		if v, err = primary(ctx); err == nil {
+			v, err = guard(v)
+		}
+		return err
+	}, func() error {
+		v = fallback()
+		return faulttol.CheckFinite(v)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// guarded is the hardened request shape search, batch and join share:
+// admit (shed when over the in-flight limit, bound by the deadline) → the
+// primary → on a fault, degrade. primary runs the served call and its
+// numeric-health guard under the admitted context; fallback answers the
+// same request of n estimates from the fallback estimator (see degrade).
+func (r *RobustEstimator) guarded(ctx context.Context, tr *reqtrace.Trace, n int, primary func(context.Context) error, fallback func() error) error {
+	ctx, cancel, err := r.admit(ctx)
 	if err != nil {
 		tr.SetFlag(reqtrace.FlagShed)
-		return 0, err
+		return err
 	}
-	defer done()
-	v, err := r.searchPrimary(ctx, q, tau)
-	if err == nil {
-		if faultinject.Armed() {
-			v = faultinject.Output.Value(v)
-		}
-		err = faulttol.CheckFinite(v)
-	}
-	if err == nil {
-		return v, nil
+	defer r.release(cancel)
+	if err = primary(ctx); err == nil {
+		return nil
 	}
 	markPanic(tr, err)
-	if ctxFailure(err) || r.fallback == nil {
-		return 0, err
+	return r.degrade(tr, n, err, fallback)
+}
+
+// degrade answers n faulted estimates from the fallback estimator: answer
+// computes them — panic-captured here — and must reject non-finite values.
+// The primary's error comes back instead when it is a context failure (a
+// timed-out request has no budget left for a second estimator), when no
+// fallback is registered, or when the fallback faults too.
+func (r *RobustEstimator) degrade(tr *reqtrace.Trace, n int, primErr error, answer func() error) error {
+	if ctxFailure(primErr) || r.fallback == nil {
+		return primErr
 	}
-	st := tr.StartStage(reqtrace.StageFallback)
-	v, ferr := r.degradeSearch(q, tau, err)
+	st := reqtrace.StartStage(tr, reqtrace.StageFallback)
+	err := faulttol.Capture(answer)
 	st.End()
-	if ferr == nil {
-		tr.SetFlag(reqtrace.FlagDegraded)
+	if err != nil {
+		return primErr
 	}
-	return v, ferr
+	tr.SetFlag(reqtrace.FlagDegraded)
+	telemetry.Default().Count(telemetry.MetricDegradedEstimates, int64(n))
+	return nil
+}
+
+// guard applies the output fault-injection point and the numeric-health
+// check to one primary value.
+func guard(v float64) (float64, error) {
+	if faultinject.Armed() {
+		v = faultinject.Output.Value(v)
+	}
+	return v, faulttol.CheckFinite(v)
 }
 
 // fillAnchors computes one healthy estimate per cache anchor for q through
-// the admitted, panic-isolated primary batch path. Any fault — shed,
+// the admitted, panic-isolated primary batch path (so lowered tiers fill
+// the precision-agnostic cache with their own estimates). Any fault — shed,
 // deadline, panic, or a non-finite anchor value — is an error, so degraded
 // or unhealthy values never populate the cache.
 func (r *RobustEstimator) fillAnchors(ctx context.Context, q []float64, anchors []float64) ([]float64, error) {
-	ctx, done, err := r.admit(ctx)
+	ctx, cancel, err := r.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer r.release(cancel)
 	qs := make([][]float64, len(anchors))
 	for i := range qs {
 		qs[i] = q
 	}
-	out, err := r.searchBatchPrimary(ctx, qs, anchors)
+	out, err := r.serve.searchBatch(ctx, qs, anchors, r.precision)
+	for i := 0; i < len(out) && err == nil; i++ {
+		out[i], err = guard(out[i])
+	}
 	if err != nil {
 		return nil, err
 	}
-	if faultinject.Armed() {
-		for i := range out {
-			out[i] = faultinject.Output.Value(out[i])
-		}
-	}
-	for _, v := range out {
-		if !faulttol.Finite(v) {
-			return nil, faulttol.ErrNonFinite
-		}
-	}
 	return out, nil
-}
-
-// searchPrimary runs the primary's single estimate: on the lowered plane
-// when a non-F64 tier is resolved, else via its cooperative context path
-// when it has one.
-func (r *RobustEstimator) searchPrimary(ctx context.Context, q []float64, tau float64) (float64, error) {
-	if r.precision != F64 {
-		if pe, ok := r.primary.(PrecisionEstimator); ok {
-			return r.searchPrecision(ctx, pe, q, tau)
-		}
-	}
-	if ce, ok := r.primary.(ContextEstimator); ok {
-		return ce.EstimateSearchCtx(ctx, q, tau)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var v float64
-	err := faulttol.Capture(func() error {
-		v = r.primary.EstimateSearch(q, tau)
-		return nil
-	})
-	if err == nil {
-		err = ctx.Err() // best-effort deadline for non-cooperative estimators
-	}
-	return v, err
-}
-
-// degradeSearch answers one estimate from the fallback after primErr. The
-// fallback is panic-captured and NaN-guarded too; if it also faults, the
-// primary's error is returned.
-func (r *RobustEstimator) degradeSearch(q []float64, tau float64, primErr error) (float64, error) {
-	var v float64
-	err := faulttol.Capture(func() error {
-		v = r.fallback.EstimateSearch(q, tau)
-		return nil
-	})
-	if err != nil || !faulttol.Finite(v) {
-		return 0, primErr
-	}
-	telemetry.Default().Count(telemetry.MetricDegradedEstimates, 1)
-	return v, nil
 }
 
 // EstimateSearchBatchCtx answers a batch of search estimates through the
@@ -407,107 +464,36 @@ func (r *RobustEstimator) EstimateSearchBatchCtx(ctx context.Context, qs [][]flo
 			tr.Finish()
 		}()
 	}
-	out, err = r.searchBatchHardened(ctx, tr, qs, taus)
-	if err == nil {
-		for i := range out {
-			r.probe.Offer(qs[i], taus[i], r.primary.Name(), out[i])
+	err = r.guarded(ctx, tr, len(qs), func(ctx context.Context) (err error) {
+		if out, err = r.serve.searchBatch(ctx, qs, taus, r.precision); err != nil {
+			return err
 		}
-	}
-	return out, err
-}
-
-// searchBatchHardened is the EstimateSearchBatchCtx body with the request
-// trace in hand.
-func (r *RobustEstimator) searchBatchHardened(ctx context.Context, tr *reqtrace.Trace, qs [][]float64, taus []float64) ([]float64, error) {
-	ctx, done, err := r.admit(ctx)
+		// Numeric-health guard per query: replace non-finite entries from
+		// the fallback instead of discarding the healthy majority.
+		for i := range out {
+			if out[i], err = guard(out[i]); err != nil {
+				err = r.degrade(tr, 1, err, func() error {
+					out[i] = r.fallback.EstimateSearch(qs[i], taus[i])
+					return faulttol.CheckFinite(out[i])
+				})
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}, func() error {
+		if out = r.fallback.EstimateSearchBatch(qs, taus); len(out) != len(qs) {
+			return faulttol.ErrNonFinite
+		}
+		return faulttol.CheckFinite(out...)
+	})
 	if err != nil {
-		tr.SetFlag(reqtrace.FlagShed)
 		return nil, err
 	}
-	defer done()
-	out, err := r.searchBatchPrimary(ctx, qs, taus)
-	if err != nil {
-		markPanic(tr, err)
-		if ctxFailure(err) || r.fallback == nil {
-			return nil, err
-		}
-		st := tr.StartStage(reqtrace.StageFallback)
-		out, ferr := r.degradeBatch(qs, taus, err)
-		st.End()
-		if ferr == nil {
-			tr.SetFlag(reqtrace.FlagDegraded)
-		}
-		return out, ferr
+	for i := range out {
+		r.probe.Offer(qs[i], taus[i], r.primary.Name(), out[i])
 	}
-	if faultinject.Armed() {
-		for i := range out {
-			out[i] = faultinject.Output.Value(out[i])
-		}
-	}
-	// Numeric-health guard per query: replace non-finite entries from the
-	// fallback instead of discarding the healthy majority of the batch.
-	for i, v := range out {
-		if faulttol.Finite(v) {
-			continue
-		}
-		if r.fallback == nil {
-			return nil, faulttol.ErrNonFinite
-		}
-		st := tr.StartStage(reqtrace.StageFallback)
-		fv, ferr := r.degradeSearch(qs[i], taus[i], faulttol.ErrNonFinite)
-		st.End()
-		if ferr != nil {
-			return nil, ferr
-		}
-		tr.SetFlag(reqtrace.FlagDegraded)
-		out[i] = fv
-	}
-	return out, nil
-}
-
-// searchBatchPrimary runs the primary's batched estimate: on the lowered
-// plane when a non-F64 tier is resolved, else via its cooperative context
-// path when it has one. Cache fills route through here too, so lowered
-// tiers fill the precision-agnostic cache with their own estimates.
-func (r *RobustEstimator) searchBatchPrimary(ctx context.Context, qs [][]float64, taus []float64) ([]float64, error) {
-	if r.precision != F64 {
-		if pe, ok := r.primary.(PrecisionEstimator); ok {
-			return r.searchBatchPrecision(ctx, pe, qs, taus)
-		}
-	}
-	if ce, ok := r.primary.(ContextEstimator); ok {
-		return ce.EstimateSearchBatchCtx(ctx, qs, taus)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []float64
-	err := faulttol.Capture(func() error {
-		out = r.primary.EstimateSearchBatch(qs, taus)
-		return nil
-	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	return out, err
-}
-
-// degradeBatch answers the whole batch from the fallback after primErr.
-func (r *RobustEstimator) degradeBatch(qs [][]float64, taus []float64, primErr error) ([]float64, error) {
-	var out []float64
-	err := faulttol.Capture(func() error {
-		out = r.fallback.EstimateSearchBatch(qs, taus)
-		return nil
-	})
-	if err != nil || len(out) != len(qs) {
-		return nil, primErr
-	}
-	for _, v := range out {
-		if !faulttol.Finite(v) {
-			return nil, primErr
-		}
-	}
-	telemetry.Default().Count(telemetry.MetricDegradedEstimates, int64(len(qs)))
 	return out, nil
 }
 
@@ -524,65 +510,7 @@ func (r *RobustEstimator) EstimateJoinCtx(ctx context.Context, qs [][]float64, t
 			tr.Finish()
 		}()
 	}
-	return r.joinHardened(ctx, tr, qs, tau)
-}
-
-// joinHardened is the EstimateJoinCtx body with the request trace in hand.
-func (r *RobustEstimator) joinHardened(ctx context.Context, tr *reqtrace.Trace, qs [][]float64, tau float64) (float64, error) {
-	ctx, done, err := r.admit(ctx)
-	if err != nil {
-		tr.SetFlag(reqtrace.FlagShed)
-		return 0, err
-	}
-	defer done()
-	v, err := r.joinPrimary(ctx, qs, tau)
-	if err == nil {
-		if faultinject.Armed() {
-			v = faultinject.Output.Value(v)
-		}
-		err = faulttol.CheckFinite(v)
-	}
-	if err == nil {
-		return v, nil
-	}
-	markPanic(tr, err)
-	if ctxFailure(err) || r.fallback == nil {
-		return 0, err
-	}
-	st := tr.StartStage(reqtrace.StageFallback)
-	var fv float64
-	ferr := faulttol.Capture(func() error {
-		fv = r.fallback.EstimateJoin(qs, tau)
-		return nil
-	})
-	st.End()
-	if ferr != nil || !faulttol.Finite(fv) {
-		return 0, err
-	}
-	tr.SetFlag(reqtrace.FlagDegraded)
-	telemetry.Default().Count(telemetry.MetricDegradedEstimates, 1)
-	return fv, nil
-}
-
-// joinPrimary runs the primary's join estimate, via its cooperative
-// context path when it has one.
-func (r *RobustEstimator) joinPrimary(ctx context.Context, qs [][]float64, tau float64) (float64, error) {
-	type ctxJoiner interface {
-		EstimateJoinCtx(ctx context.Context, qs [][]float64, tau float64) (float64, error)
-	}
-	if cj, ok := r.primary.(ctxJoiner); ok {
-		return cj.EstimateJoinCtx(ctx, qs, tau)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var v float64
-	err := faulttol.Capture(func() error {
-		v = r.primary.EstimateJoin(qs, tau)
-		return nil
-	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	return v, err
+	return r.one(ctx, tr, func(ctx context.Context) (float64, error) {
+		return r.serve.join(ctx, qs, tau)
+	}, func() float64 { return r.fallback.EstimateJoin(qs, tau) })
 }

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"time"
 
 	"simquery/internal/baseline"
 	"simquery/internal/cardnet"
 	"simquery/internal/estimator"
 	"simquery/internal/model"
+	"simquery/internal/telemetry"
 	"simquery/internal/workload"
 )
 
@@ -147,19 +149,9 @@ func Train(d *Dataset, train []Query, opts TrainOptions) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Per-segment labels under the model's own segmentation.
-		wq := make([]workload.Query, len(train))
-		for i, q := range train {
-			wq[i] = workload.Query{Vec: q.Vec, Tau: q.Tau, Card: q.Card}
-		}
-		workload.AttachSegmentLabels(d.inner, gl.Seg, wq, 0)
-		segSamples := make([]model.SegSample, len(wq))
-		for i, q := range wq {
-			segSamples[i] = model.SegSample{Q: q.Vec, Tau: q.Tau, SegCards: q.SegCards}
-		}
 		gcfg := model.DefaultGlobalTrainConfig(opts.Seed + 7)
 		gcfg.Epochs = cfg.Epochs
-		if err := gl.Train(segSamples, cfg, gcfg); err != nil {
+		if err := gl.Train(segSamples(d, gl, train), cfg, gcfg); err != nil {
 			return nil, err
 		}
 		return &GlobalLocalEstimator{gl: gl, ds: d}, nil
@@ -198,6 +190,21 @@ func TauAnchors(queries []Query, k int) []float64 {
 	}
 	if len(out) < 2 {
 		return nil
+	}
+	return out
+}
+
+// segSamples labels the training queries per segment under gl's own
+// segmentation.
+func segSamples(d *Dataset, gl *model.GlobalLocal, train []Query) []model.SegSample {
+	wq := make([]workload.Query, len(train))
+	for i, q := range train {
+		wq[i] = workload.Query{Vec: q.Vec, Tau: q.Tau, Card: q.Card}
+	}
+	workload.AttachSegmentLabels(d.inner, gl.Seg, wq, 0)
+	out := make([]model.SegSample, len(wq))
+	for i, q := range wq {
+		out[i] = model.SegSample{Q: q.Vec, Tau: q.Tau, SegCards: q.SegCards}
 	}
 	return out
 }
@@ -267,7 +274,10 @@ func (b basicEstimator) EstimateJoin(qs [][]float64, tau float64) float64 {
 
 // GlobalLocalEstimator is the trained data-segmentation estimator with its
 // extended surface: pooled join estimation, join fine-tuning, and
-// incremental data updates.
+// incremental data updates. It implements served natively: search,
+// searchBatch and join are the only calls into the model's estimate
+// pipeline, from the plain Estimator methods and from Harden alike, so the
+// per-method serving metrics are recorded once, whichever way a call came.
 type GlobalLocalEstimator struct {
 	gl *model.GlobalLocal
 	ds *Dataset
@@ -276,48 +286,76 @@ type GlobalLocalEstimator struct {
 // Name implements Estimator.
 func (g *GlobalLocalEstimator) Name() string { return g.gl.Name() }
 
-// EstimateSearch implements Estimator; latency and throughput are recorded
-// per method when telemetry is enabled, and the model emits
-// global_route/local_eval stage spans plus the routing-selectivity
-// histogram.
+// timed runs one call of n estimates (0 for a join, which
+// simquery_estimates_total does not count) and, when telemetry is on and the
+// call succeeds, records its latency into family and n into the counter,
+// labeled by method. Telemetry off costs one atomic load and no clock read.
+func timed[T any](family, method string, n int, call func() (T, error)) (T, error) {
+	rec := telemetry.Default()
+	if !rec.Enabled() {
+		return call()
+	}
+	start := time.Now()
+	v, err := call()
+	if err == nil {
+		rec.ObserveDurationLabeled(family, telemetry.LabelMethod, method, time.Since(start))
+		rec.CountLabeled(telemetry.MetricEstimatesTotal, telemetry.LabelMethod, method, int64(n))
+	}
+	return v, err
+}
+
+// search is one estimate on plane p: cancellation checked before routing
+// and between local models, a crashing local model returned as an error
+// naming its segment, latency into simquery_estimate_latency_seconds, and
+// the model's stage timings and routing-selectivity histogram.
+func (g *GlobalLocalEstimator) search(ctx context.Context, q []float64, tau float64, p Precision) (float64, error) {
+	return timed(telemetry.MetricEstimateLatency, g.gl.Label, 1, func() (float64, error) {
+		return g.gl.EstimateSearchPrecision(ctx, q, tau, p)
+	})
+}
+
+// searchBatch is one batched estimate on plane p: one global routing pass,
+// one sub-batch per selected local model, evaluated in parallel; results
+// match per-query search exactly. Whole-batch latency lands in
+// simquery_estimate_batch_seconds.
+func (g *GlobalLocalEstimator) searchBatch(ctx context.Context, qs [][]float64, taus []float64, p Precision) ([]float64, error) {
+	return timed(telemetry.MetricEstimateBatch, g.gl.Label, len(qs), func() ([]float64, error) {
+		return g.gl.EstimateSearchBatchPrecision(ctx, qs, taus, p)
+	})
+}
+
+// join is one join estimate by mask-based routing and sum pooling (Fig 6),
+// timed into simquery_join_latency_seconds. Joins always run the F64 plane.
+func (g *GlobalLocalEstimator) join(ctx context.Context, qs [][]float64, tau float64) (float64, error) {
+	return timed(telemetry.MetricJoinLatency, g.gl.Label, 0, func() (float64, error) {
+		return g.gl.EstimateJoinCtx(ctx, qs, tau)
+	})
+}
+
+// must is the plain methods' error channel: Estimator has none, so a
+// pipeline error (a crashed local model, mismatched batch lengths) panics.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// EstimateSearch implements Estimator.
 func (g *GlobalLocalEstimator) EstimateSearch(q []float64, tau float64) float64 {
-	return estimator.Search(g.gl, q, tau)
+	return must(g.search(context.Background(), q, tau, F64))
 }
 
-// EstimateSearchBatch implements Estimator: one global routing pass,
-// grouped sub-batches per local model, locals evaluated in parallel.
-// Results match per-query EstimateSearch exactly. Whole-batch latency
-// lands in simquery_estimate_batch_seconds.
+// EstimateSearchBatch implements Estimator; results match per-query
+// EstimateSearch exactly.
 func (g *GlobalLocalEstimator) EstimateSearchBatch(qs [][]float64, taus []float64) []float64 {
-	return estimator.SearchBatch(g.gl, qs, taus)
+	return must(g.searchBatch(context.Background(), qs, taus, F64))
 }
 
-// EstimateJoin implements Estimator using mask-based routing and sum
-// pooling (Fig 6). Call FineTuneJoin first for best accuracy.
+// EstimateJoin implements Estimator. Call FineTuneJoin first for best
+// accuracy.
 func (g *GlobalLocalEstimator) EstimateJoin(qs [][]float64, tau float64) float64 {
-	return estimator.Join(g.gl, qs, tau)
-}
-
-// EstimateSearchCtx implements ContextEstimator: EstimateSearch with
-// cooperative cancellation (checked between local-model evaluations) and
-// per-segment panic isolation — a crashing local model returns an error
-// naming the segment instead of taking the process down. Successful
-// results match EstimateSearch exactly.
-func (g *GlobalLocalEstimator) EstimateSearchCtx(ctx context.Context, q []float64, tau float64) (float64, error) {
-	return g.gl.EstimateSearchCtx(ctx, q, tau)
-}
-
-// EstimateSearchBatchCtx implements ContextEstimator: EstimateSearchBatch
-// with cancellation checks between pooled sub-batches and per-segment
-// panic isolation. Successful results match EstimateSearchBatch exactly.
-func (g *GlobalLocalEstimator) EstimateSearchBatchCtx(ctx context.Context, qs [][]float64, taus []float64) ([]float64, error) {
-	return g.gl.EstimateSearchBatchCtx(ctx, qs, taus)
-}
-
-// EstimateJoinCtx is EstimateJoin with cooperative cancellation and
-// per-segment panic isolation.
-func (g *GlobalLocalEstimator) EstimateJoinCtx(ctx context.Context, qs [][]float64, tau float64) (float64, error) {
-	return g.gl.EstimateJoinCtx(ctx, qs, tau)
+	return must(g.join(context.Background(), qs, tau))
 }
 
 // SizeBytes implements Estimator.
@@ -375,15 +413,7 @@ func (g *GlobalLocalEstimator) Retrain(train []Query, affectedSegments []int, ep
 	if epochs <= 0 {
 		epochs = 3
 	}
-	wq := make([]workload.Query, len(train))
-	for i, q := range train {
-		wq[i] = workload.Query{Vec: q.Vec, Tau: q.Tau, Card: q.Card}
-	}
-	workload.AttachSegmentLabels(g.ds.inner, g.gl.Seg, wq, 0)
-	samples := make([]model.SegSample, len(wq))
-	for i, q := range wq {
-		samples[i] = model.SegSample{Q: q.Vec, Tau: q.Tau, SegCards: q.SegCards}
-	}
+	samples := segSamples(g.ds, g.gl, train)
 	var affected map[int]bool
 	if affectedSegments != nil {
 		affected = map[int]bool{}

@@ -338,7 +338,7 @@ func runEndToEnd(record func(kernelBenchResult), o kernelOptions, maxprocs int) 
 		r = testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := suite.GLPlus.EstimateSearchBatchPrecision(vecs, taus, tier.p); err != nil {
+				if _, err := suite.GLPlus.EstimateSearchBatchPrecision(context.Background(), vecs, taus, tier.p); err != nil {
 					b.Fatal(err)
 				}
 			}

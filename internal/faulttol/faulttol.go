@@ -44,12 +44,17 @@ func (e *PanicError) Error() string {
 }
 
 // Recovered converts a recover() value into a *PanicError. A value that
-// already is a *PanicError (a panic re-raised across a goroutine boundary,
-// e.g. by tensor.Pool) passes through unchanged, so each panic is counted
-// in simquery_recovered_panics_total exactly once — at first capture.
+// already carries a *PanicError — a panic re-raised across a goroutine
+// boundary by tensor.Pool, or an isolated one re-raised as the error that
+// wraps it by an estimator's plain (error-less) methods — passes through
+// unchanged, so each panic is counted in simquery_recovered_panics_total
+// exactly once — at first capture.
 func Recovered(r any) *PanicError {
-	if pe, ok := r.(*PanicError); ok {
-		return pe
+	if err, ok := r.(error); ok {
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			return pe
+		}
 	}
 	telemetry.Default().Count(telemetry.MetricRecoveredPanics, 1)
 	return &PanicError{Value: r, Stack: debug.Stack()}
@@ -71,12 +76,14 @@ func Finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// CheckFinite returns ErrNonFinite when v is NaN or ±Inf.
-func CheckFinite(v float64) error {
-	if Finite(v) {
-		return nil
+// CheckFinite returns ErrNonFinite when any of vs is NaN or ±Inf.
+func CheckFinite(vs ...float64) error {
+	for _, v := range vs {
+		if !Finite(v) {
+			return ErrNonFinite
+		}
 	}
-	return ErrNonFinite
+	return nil
 }
 
 // Gate is a lock-free admission gate bounding concurrent in-flight

@@ -2,6 +2,7 @@ package faulttol
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -40,6 +41,11 @@ func TestRecoveredPassThrough(t *testing.T) {
 	first := Recovered("original")
 	if second := Recovered(first); second != first {
 		t.Fatal("Recovered re-wrapped an existing *PanicError")
+	}
+	// ... and so must an error wrapping it (a plain estimator method
+	// re-panicking with the isolated segment error).
+	if third := Recovered(fmt.Errorf("segment 3: %w", first)); third != first {
+		t.Fatal("Recovered re-wrapped a *PanicError carried inside an error")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"simquery/internal/dist"
 	"simquery/internal/nn"
+	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
 	"simquery/internal/tensor"
 )
@@ -113,12 +114,9 @@ func (m *BasicModel) SetOutputBias(meanLogCard float64) {
 	m.bumpLowGen()
 }
 
-// forward runs a labeled batch and returns the N×1 log-cardinality
-// predictions; train=true caches for backward.
-func (m *BasicModel) forward(qs [][]float64, taus []float64, train bool) *tensor.Matrix {
-	if !train {
-		return m.infer(qs, taus, nil)
-	}
+// forward runs a labeled training batch and returns the N×1
+// log-cardinality predictions, caching activations for backward.
+func (m *BasicModel) forward(qs [][]float64, taus []float64) *tensor.Matrix {
 	zq := m.E1.Forward(queryBatch(nil, qs, m.Dim), true)
 	zt := m.E2.Forward(tauBatch(nil, taus, m.TauScale), true)
 	var z *tensor.Matrix
@@ -139,7 +137,7 @@ func (m *BasicModel) forward(qs [][]float64, taus []float64, train bool) *tensor
 // first under the feature_build span; the arena hands each call a distinct
 // region, so ordering builds before network passes changes nothing else.
 func (m *BasicModel) infer(qs [][]float64, taus []float64, s *nn.Scratch) *tensor.Matrix {
-	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
+	sp := reqtrace.StartStage(nil, reqtrace.StageFeatureBuild)
 	xq := queryBatch(s, qs, m.Dim)
 	xt := tauBatch(s, taus, m.TauScale)
 	var xd *tensor.Matrix
@@ -213,7 +211,7 @@ func (m *BasicModel) Train(samples []Sample, cfg TrainConfig) error {
 				taus[bi] = samples[si].Tau
 				cards[bi] = samples[si].Card
 			}
-			pred := m.forward(qs, taus, true)
+			pred := m.forward(qs, taus)
 			lv, grad := loss.Compute(pred, cards)
 			epochLoss += lv
 			batches++
@@ -232,26 +230,65 @@ func (m *BasicModel) Train(samples []Sample, cfg TrainConfig) error {
 	return nil
 }
 
-// EstimateSearch returns the estimated cardinality for one query.
-func (m *BasicModel) EstimateSearch(q []float64, tau float64) float64 {
-	s := takeScratch()
-	defer putScratch(s)
-	pred := m.infer([][]float64{q}, []float64{tau}, s)
-	return m.capCard(expCard(pred.Data[0]))
+// estimateInto writes one estimate per (qs[i], taus[i]) into dst on
+// inference plane p — the single evaluation body behind every BasicModel
+// search entry point. F64 runs the trained networks; F32 and Int8 run the
+// cached lowered plane (precision.go), widening only at the final exp/cap
+// step.
+func (m *BasicModel) estimateInto(dst []float64, qs [][]float64, taus []float64, p Precision) error {
+	if p == F64 {
+		s := takeScratch()
+		defer putScratch(s)
+		pred := m.infer(qs, taus, s)
+		for i := range dst {
+			dst[i] = m.capCard(expCard(pred.Data[i]))
+		}
+		return nil
+	}
+	lb, err := m.lowered(p)
+	if err != nil {
+		return err
+	}
+	s := takeScratch32()
+	defer putScratch32(s)
+	pred := lb.infer32(m, qs, taus, s)
+	for i := range dst {
+		dst[i] = m.capCard(expCard(float64(pred.Data[i])))
+	}
+	return nil
 }
 
-// EstimateSearchBatch estimates many (q, τ) pairs in one forward pass.
-func (m *BasicModel) EstimateSearchBatch(qs [][]float64, taus []float64) []float64 {
+// EstimateSearchLowered returns the estimated cardinality for one query on
+// plane p.
+func (m *BasicModel) EstimateSearchLowered(q []float64, tau float64, p Precision) (float64, error) {
+	var out [1]float64
+	err := m.estimateInto(out[:], [][]float64{q}, []float64{tau}, p)
+	return out[0], err
+}
+
+// EstimateSearchBatchLowered estimates many (q, τ) pairs in one forward
+// pass on plane p.
+func (m *BasicModel) EstimateSearchBatchLowered(qs [][]float64, taus []float64, p Precision) ([]float64, error) {
 	if len(qs) != len(taus) {
 		panic(fmt.Sprintf("model: batch size mismatch: %d queries, %d thresholds", len(qs), len(taus)))
 	}
-	s := takeScratch()
-	defer putScratch(s)
-	pred := m.infer(qs, taus, s)
-	out := make([]float64, pred.Rows)
-	for i := range out {
-		out[i] = m.capCard(expCard(pred.Data[i]))
+	out := make([]float64, len(qs))
+	if err := m.estimateInto(out, qs, taus, p); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// EstimateSearch is EstimateSearchLowered on the F64 plane, which cannot
+// fail.
+func (m *BasicModel) EstimateSearch(q []float64, tau float64) float64 {
+	v, _ := m.EstimateSearchLowered(q, tau, F64)
+	return v
+}
+
+// EstimateSearchBatch is EstimateSearchBatchLowered on the F64 plane.
+func (m *BasicModel) EstimateSearchBatch(qs [][]float64, taus []float64) []float64 {
+	out, _ := m.EstimateSearchBatchLowered(qs, taus, F64)
 	return out
 }
 
@@ -292,10 +329,7 @@ func (m *BasicModel) SizeBytes() int {
 // forwardJoin embeds every query of a set, sum-pools the query and distance
 // embeddings, and runs the output module once. It returns the predicted
 // log of the set's total cardinality.
-func (m *BasicModel) forwardJoin(qs [][]float64, tau float64, train bool) *tensor.Matrix {
-	if !train {
-		return m.inferJoin(qs, tau, nil)
-	}
+func (m *BasicModel) forwardJoin(qs [][]float64, tau float64) *tensor.Matrix {
 	zqAll := m.E1.Forward(queryBatch(nil, qs, m.Dim), true)
 	zq := sumRows(nil, zqAll)
 	zt := m.E2.Forward(tauBatch(nil, []float64{tau}, m.TauScale), true)
@@ -385,7 +419,7 @@ func (m *BasicModel) FineTuneJoin(sets []JoinSample, cfg TrainConfig) error {
 			if len(s.Qs) == 0 {
 				continue
 			}
-			pred := m.forwardJoin(s.Qs, s.Tau, true)
+			pred := m.forwardJoin(s.Qs, s.Tau)
 			_, grad := loss.Compute(pred, []float64{s.Card})
 			m.backwardJoin(grad)
 			if cfg.GradClip > 0 {

@@ -17,26 +17,6 @@ func testBatch(t *testing.T) ([][]float64, []float64) {
 	return qs, taus
 }
 
-// TestEstimateSearchBatchExact asserts the batched, grouped, parallel path
-// is bitwise identical to the serial per-query path: same routing, same
-// per-row network math, same summation order.
-func TestEstimateSearchBatchExact(t *testing.T) {
-	qs, taus := testBatch(t)
-	for _, v := range []Variant{GLPlus, LocalPlus} {
-		gl := trainedGL(t, v)
-		batch := gl.EstimateSearchBatch(qs, taus)
-		if len(batch) != len(qs) {
-			t.Fatalf("%s: batch returned %d results for %d queries", v, len(batch), len(qs))
-		}
-		for i := range qs {
-			single := gl.EstimateSearch(qs[i], taus[i])
-			if batch[i] != single {
-				t.Fatalf("%s query %d: batch %v != serial %v", v, i, batch[i], single)
-			}
-		}
-	}
-}
-
 // TestEstimateSearchBatchEmpty checks the zero-query edge case.
 func TestEstimateSearchBatchEmpty(t *testing.T) {
 	gl := trainedGL(t, GLPlus)

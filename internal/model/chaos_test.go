@@ -10,65 +10,71 @@ import (
 
 	"simquery/internal/faultinject"
 	"simquery/internal/faulttol"
+	"simquery/internal/reqtrace"
 	"simquery/internal/tensor"
 )
 
+// tiers are the inference planes every chaos case runs on: the fault
+// contract belongs to the one pipeline, not to the F64 copy of it.
+var tiers = []Precision{F64, F32, Int8}
+
 // TestChaosLocalPanicIsolatedSerial proves the per-local-model recovery
-// contract on the serial hardened path: an injected panic inside one
-// segment model surfaces as a *SegmentError naming the segment (wrapping
+// contract on the single-query path of every tier: an injected panic inside
+// one segment model surfaces as a *SegmentError naming the segment (wrapping
 // the recovered panic), and after disarming the same query estimates
-// cleanly with a result identical to the plain path.
+// cleanly, to the bit it answered before the fault.
 func TestChaosLocalPanicIsolatedSerial(t *testing.T) {
-	defer faultinject.Reset()
 	gl := trainedGL(t, GLCNN)
 	f := getFixture(t)
 	q := f.w.Test[0]
+	ctx := context.Background()
+	for _, p := range tiers {
+		t.Run(p.String(), func(t *testing.T) {
+			defer faultinject.Reset()
+			want, err := gl.EstimateSearchPrecision(ctx, q.Vec, q.Tau, p)
+			if err != nil {
+				t.Fatalf("before the fault: %v", err)
+			}
 
-	faultinject.LocalEval.Set(&faultinject.Plan{PanicOn: 1})
-	_, err := gl.EstimateSearchCtx(context.Background(), q.Vec, q.Tau)
-	if err == nil {
-		t.Fatal("EstimateSearchCtx with injected local panic returned nil error")
-	}
-	var se *SegmentError
-	if !errors.As(err, &se) {
-		t.Fatalf("error = %T (%v), want *SegmentError", err, err)
-	}
-	if se.Seg < 0 || se.Seg >= gl.Seg.K {
-		t.Fatalf("SegmentError names segment %d, want one of 0..%d", se.Seg, gl.Seg.K-1)
-	}
-	var pe *faulttol.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("SegmentError does not wrap *faulttol.PanicError: %v", err)
-	}
-	if _, ok := pe.Value.(*faultinject.InjectedPanic); !ok {
-		t.Fatalf("recovered panic value = %T, want *faultinject.InjectedPanic", pe.Value)
-	}
+			faultinject.LocalEval.Set(&faultinject.Plan{PanicOn: 1})
+			_, err = gl.EstimateSearchPrecision(ctx, q.Vec, q.Tau, p)
+			if err == nil {
+				t.Fatal("estimate with injected local panic returned nil error")
+			}
+			var se *SegmentError
+			if !errors.As(err, &se) {
+				t.Fatalf("error = %T (%v), want *SegmentError", err, err)
+			}
+			if se.Seg < 0 || se.Seg >= gl.Seg.K {
+				t.Fatalf("SegmentError names segment %d, want one of 0..%d", se.Seg, gl.Seg.K-1)
+			}
+			var pe *faulttol.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("SegmentError does not wrap *faulttol.PanicError: %v", err)
+			}
+			if _, ok := pe.Value.(*faultinject.InjectedPanic); !ok {
+				t.Fatalf("recovered panic value = %T, want *faultinject.InjectedPanic", pe.Value)
+			}
 
-	// Disarmed, the hardened path answers and matches the plain hot path.
-	faultinject.Reset()
-	got, err := gl.EstimateSearchCtx(context.Background(), q.Vec, q.Tau)
-	if err != nil {
-		t.Fatalf("EstimateSearchCtx after reset: %v", err)
-	}
-	if want := gl.EstimateSearch(q.Vec, q.Tau); got != want {
-		t.Fatalf("hardened path = %g, plain path = %g — must be bitwise identical", got, want)
+			faultinject.Reset()
+			got, err := gl.EstimateSearchPrecision(ctx, q.Vec, q.Tau, p)
+			if err != nil || got != want {
+				t.Fatalf("after reset: %g, %v; want %g as before the fault", got, err, want)
+			}
+		})
 	}
 }
 
 // TestChaosLocalPanicIsolatedBatch proves the acceptance criterion for the
-// batched path: an injected panic in one local model fails the batch with a
-// *SegmentError while the process survives and other tensor.Pool callers
-// keep serving throughout.
+// batched path of every tier: an injected panic in one local model fails
+// the batch with a *SegmentError while the process survives and other
+// tensor.Pool callers keep serving throughout; once disarmed the batch
+// answers as before the fault and a traced request records the pipeline's
+// stages.
 func TestChaosLocalPanicIsolatedBatch(t *testing.T) {
-	defer faultinject.Reset()
 	gl := trainedGL(t, GLCNN)
-	f := getFixture(t)
-	qs := make([][]float64, len(f.w.Test))
-	taus := make([]float64, len(f.w.Test))
-	for i, q := range f.w.Test {
-		qs[i] = q.Vec
-		taus[i] = q.Tau
-	}
+	qs, taus := testBatch(t)
+	ctx := context.Background()
 
 	// Unrelated pool traffic that must keep completing while a local model
 	// panics: the pool's recovery contract confines the fault to the job
@@ -91,52 +97,77 @@ func TestChaosLocalPanicIsolatedBatch(t *testing.T) {
 			}
 		}()
 	}
-
+	defer wg.Wait()
+	defer close(stop)
 	for bystanderJobs.Load() == 0 {
-		runtime.Gosched() // bystanders are up before the fault
+		runtime.Gosched() // bystanders are up before the first fault
 	}
-	faultinject.LocalEval.Set(&faultinject.Plan{PanicOn: 1})
-	_, err := gl.EstimateSearchBatchCtx(context.Background(), qs, taus)
-	if err == nil {
-		close(stop)
-		t.Fatal("EstimateSearchBatchCtx with injected local panic returned nil error")
-	}
-	var se *SegmentError
-	if !errors.As(err, &se) {
-		close(stop)
-		t.Fatalf("batch error = %T (%v), want *SegmentError", err, err)
-	}
-	// The pool keeps serving the bystanders after the fault.
-	for c := bystanderJobs.Load(); bystanderJobs.Load() == c; {
-		runtime.Gosched()
-	}
-	close(stop)
-	wg.Wait()
 
-	// The batch path recovers fully once disarmed and matches the plain
-	// batch result.
-	faultinject.Reset()
-	got, err := gl.EstimateSearchBatchCtx(context.Background(), qs, taus)
-	if err != nil {
-		t.Fatalf("EstimateSearchBatchCtx after reset: %v", err)
-	}
-	want := gl.EstimateSearchBatch(qs, taus)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d: hardened batch = %g, plain batch = %g", i, got[i], want[i])
-		}
+	for _, p := range tiers {
+		t.Run(p.String(), func(t *testing.T) {
+			defer faultinject.Reset()
+			want, err := gl.EstimateSearchBatchPrecision(ctx, qs, taus, p)
+			if err != nil {
+				t.Fatalf("before the fault: %v", err)
+			}
+
+			faultinject.LocalEval.Set(&faultinject.Plan{PanicOn: 1})
+			_, err = gl.EstimateSearchBatchPrecision(ctx, qs, taus, p)
+			if err == nil {
+				t.Fatal("batch with injected local panic returned nil error")
+			}
+			var se *SegmentError
+			if !errors.As(err, &se) || se.Seg < 0 {
+				t.Fatalf("batch error = %T (%v), want *SegmentError naming a local", err, err)
+			}
+			// The pool keeps serving the bystanders after the fault.
+			for c := bystanderJobs.Load(); bystanderJobs.Load() == c; {
+				runtime.Gosched()
+			}
+
+			faultinject.Reset()
+			tr := reqtrace.NewDetached(gl.Label, taus[0])
+			got, err := gl.EstimateSearchBatchPrecision(reqtrace.NewContext(ctx, tr), qs, taus, p)
+			if err != nil {
+				t.Fatalf("after reset: %v", err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("query %d after reset: %g, want %g as before the fault", i, got[i], want[i])
+				}
+			}
+			for _, s := range []reqtrace.Stage{reqtrace.StageGlobalRoute, reqtrace.StageLocalEval, reqtrace.StageMerge} {
+				if tr.StageNs[s] <= 0 {
+					t.Errorf("traced batch recorded no %s time", s)
+				}
+			}
+		})
 	}
 }
 
-// TestChaosCtxCancellation checks cooperative cancellation: an
-// already-cancelled context stops both hardened paths before any model
-// work, returning the context's own error (never a degraded estimate).
+// TestChaosCtxCancellation checks cooperative cancellation on every tier:
+// an already-cancelled context stops every error-returning entry point
+// before any model work, returning the context's own error (never a
+// degraded estimate) — and mismatched batch lengths are an error there too,
+// not a panic.
 func TestChaosCtxCancellation(t *testing.T) {
 	gl := trainedGL(t, GLCNN)
 	f := getFixture(t)
 	q := f.w.Test[0]
-	ctx, cancel := context.WithCancel(context.Background())
+	live := context.Background()
+	ctx, cancel := context.WithCancel(live)
 	cancel()
+	for _, p := range tiers {
+		if _, err := gl.EstimateSearchPrecision(ctx, q.Vec, q.Tau, p); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v single on cancelled ctx: err = %v, want context.Canceled", p, err)
+		}
+		if _, err := gl.EstimateSearchBatchPrecision(ctx, [][]float64{q.Vec}, []float64{q.Tau}, p); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v batch on cancelled ctx: err = %v, want context.Canceled", p, err)
+		}
+		if out, err := gl.EstimateSearchBatchPrecision(live, [][]float64{q.Vec, q.Vec}, []float64{q.Tau}, p); err == nil {
+			t.Fatalf("%v batch of 2 queries and 1 threshold: got %v, want an error", p, out)
+		}
+	}
 	if _, err := gl.EstimateSearchCtx(ctx, q.Vec, q.Tau); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EstimateSearchCtx on cancelled ctx: err = %v, want context.Canceled", err)
 	}

@@ -121,16 +121,13 @@ func (sd *SegDeltas) live(i int) float64 {
 	return v
 }
 
-// deltaAdjust applies the sampling correction to segment i's contribution
-// v: scale by live_i/base_i, clamp to [0, live_i]. The zero-delta case
-// returns v unchanged (bit-identical).
-func (gl *GlobalLocal) deltaAdjust(i int, v float64) float64 {
+// deltaAdjust applies the sampling correction to segment i's contribution v
+// covering nq routed queries (1 for a search estimate, the routed group size
+// for a pooled join): scale by live_i/base_i, clamp to [0, nq·live_i]. The
+// zero-delta case returns v unchanged (bit-identical).
+func (gl *GlobalLocal) deltaAdjust(i int, v float64, nq int) float64 {
 	sd := gl.deltas.Load()
-	if sd == nil || i < 0 || i >= len(sd.net) {
-		return v
-	}
-	d := sd.net[i].Load()
-	if d == 0 {
+	if sd == nil || i < 0 || i >= len(sd.net) || sd.net[i].Load() == 0 {
 		return v
 	}
 	live := sd.live(i)
@@ -138,31 +135,7 @@ func (gl *GlobalLocal) deltaAdjust(i int, v float64) float64 {
 		v *= live / base
 	}
 	// A segment trained empty (base 0) has no model signal to scale; the
-	// clamp still bounds whatever the (≈0) local answers into [0, live].
-	if v < 0 {
-		return 0
-	}
-	if v > live {
-		return live
-	}
-	return v
-}
-
-// deltaAdjustJoin is deltaAdjust for one segment's pooled join
-// contribution: the scale is the same live_i/base_i, but the pooled
-// estimate covers nq routed queries, so the clamp ceiling is nq·live_i.
-func (gl *GlobalLocal) deltaAdjustJoin(i int, v float64, nq int) float64 {
-	sd := gl.deltas.Load()
-	if sd == nil || i < 0 || i >= len(sd.net) {
-		return v
-	}
-	if sd.net[i].Load() == 0 {
-		return v
-	}
-	live := sd.live(i)
-	if base := sd.base[i]; base > 0 {
-		v *= live / base
-	}
+	// clamp still bounds whatever the (≈0) local answers.
 	if v < 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -13,6 +14,8 @@ import (
 
 	"simquery/internal/cluster"
 	"simquery/internal/dist"
+	"simquery/internal/faultinject"
+	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
 	"simquery/internal/tensor"
 )
@@ -135,10 +138,9 @@ type GlobalLocal struct {
 	cfg GLConfig
 }
 
-// initBounds computes the reference points and metric radii from data.
-func (gl *GlobalLocal) initBounds(data [][]float64) {
+// initRefs derives the triangle-bound reference points from the centroids.
+func (gl *GlobalLocal) initRefs() {
 	gl.refs = make([][]float64, gl.Seg.K)
-	gl.MetricRadii = make([]float64, gl.Seg.K)
 	for i, c := range gl.Seg.Centroids {
 		ref := c
 		if gl.Metric == dist.Angular {
@@ -147,6 +149,12 @@ func (gl *GlobalLocal) initBounds(data [][]float64) {
 		}
 		gl.refs[i] = ref
 	}
+}
+
+// initBounds computes the reference points and metric radii from data.
+func (gl *GlobalLocal) initBounds(data [][]float64) {
+	gl.initRefs()
+	gl.MetricRadii = make([]float64, gl.Seg.K)
 	for i, a := range gl.Seg.Assignments {
 		if d := dist.Distance(gl.Metric, data[i], gl.refs[a]); d > gl.MetricRadii[a] {
 			gl.MetricRadii[a] = d
@@ -330,43 +338,33 @@ func (gl *GlobalLocal) localTrainingSet(samples []SegSample, i int, seed int64) 
 // regression model (in parallel), phase 2 fits the global discriminative
 // model (Algorithm 2).
 func (gl *GlobalLocal) Train(samples []SegSample, cfg TrainConfig, gcfg GlobalTrainConfig) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("model: no training samples")
-	}
 	for i, s := range samples {
 		if len(s.SegCards) != gl.Seg.K {
 			return fmt.Errorf("model: sample %d has %d segment labels, want %d", i, len(s.SegCards), gl.Seg.K)
 		}
 	}
-	// Phase 1: local models.
+	return gl.IncrementalTrain(samples, nil, cfg, gcfg)
+}
+
+// eachLocal runs fn for every local model on up to cfg.Workers goroutines
+// and returns the lowest-indexed failure.
+func (gl *GlobalLocal) eachLocal(fn func(i int, local *BasicModel) error) error {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, gl.cfg.Workers)
 	errs := make([]error, len(gl.Locals))
 	for i, local := range gl.Locals {
 		wg.Add(1)
-		go func(i int, local *BasicModel) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			lcfg := cfg
-			lcfg.Seed = cfg.Seed + int64(i)*7919
-			errs[i] = local.Train(gl.localTrainingSet(samples, i, lcfg.Seed), lcfg)
-		}(i, local)
+			errs[i] = fn(i, local)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("model: local %d: %w", i, err)
-		}
-	}
-	// Phase 2: global model.
-	if gl.Global != nil {
-		gs := make([]GlobalSample, len(samples))
-		for i, s := range samples {
-			gs[i] = GlobalSample{Q: s.Q, Tau: s.Tau, SegCards: s.SegCards}
-		}
-		if err := gl.Global.Train(gs, gcfg); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -385,23 +383,15 @@ func (gl *GlobalLocal) provablyEmpty(q []float64, tau float64, i int) bool {
 	return d-gl.MetricRadii[i] > tau
 }
 
-// maskFor turns one query's global-model probabilities into the selection
-// mask: picks above σ, hard-filtered by the triangle-inequality bound, with
-// a fallback to the highest-probability surviving segment so plausible
-// queries never silently estimate zero — unless every segment is provably
-// empty, in which case zero is exact. A nil probs row is the Local+ case:
-// every not-provably-empty segment is selected. This is the single source
-// of routing truth shared by the search, batch, and join paths, so they
-// select identical segments for identical queries.
-func (gl *GlobalLocal) maskFor(q []float64, tau float64, probs []float64) []bool {
-	sel := make([]bool, gl.Seg.K)
-	gl.maskInto(sel, q, tau, probs)
-	return sel
-}
-
-// maskInto is maskFor writing into caller-owned storage (len gl.Seg.K, all
-// false) — the batched path slices one backing array into per-query masks
-// instead of allocating each mask.
+// maskInto turns one query's global-model probabilities into its selection
+// mask, written into sel (len gl.Seg.K, all false): picks above σ,
+// hard-filtered by the triangle-inequality bound, with a fallback to the
+// highest-probability surviving segment so plausible queries never silently
+// estimate zero — unless every segment is provably empty, in which case
+// zero is exact. A nil probs row is the Local+ case: every
+// not-provably-empty segment is selected. This is the single source of
+// routing truth, so search, batch, and join select identical segments for
+// identical queries.
 func (gl *GlobalLocal) maskInto(sel []bool, q []float64, tau float64, probs []float64) {
 	if probs == nil {
 		for i := range sel {
@@ -428,170 +418,307 @@ func (gl *GlobalLocal) maskInto(sel []bool, q []float64, tau float64, probs []fl
 	}
 }
 
-// selectionMasks computes the per-query selection masks for a batch with a
-// single global-model forward pass — the batched counterpart of
-// SelectedSegments (Fig 6's indicator matrix).
-func (gl *GlobalLocal) selectionMasks(qs [][]float64, taus []float64) [][]bool {
-	masks := make([][]bool, len(qs))
-	flat := make([]bool, len(qs)*gl.Seg.K) // one backing array for all masks
-	var probs [][]float64
-	if gl.Global != nil {
-		probs = gl.Global.ProbsBatch(qs, taus)
+// pipeOpts parameterises the estimate pipeline.
+type pipeOpts struct {
+	// precision is the inference plane of the router and the locals.
+	precision Precision
+	// join reduces each local's routed group to one sum-pooled estimate
+	// (Fig 6) instead of one estimate per routed query.
+	join bool
+}
+
+// glRun is the working set of one pipeline run, recycled through runPool so
+// a steady-state estimate allocates its result and nothing else.
+type glRun struct {
+	// q1/t1/out1 stage a single query as a one-row batch without allocating;
+	// taus is a join's threshold repeated per query, for routing.
+	q1   [1][]float64
+	t1   [1]float64
+	out1 [1]float64
+	taus []float64
+	// probs and sel are the n×K routing probabilities and the indicator
+	// matrix of Fig 6, row-major.
+	probs []float64
+	sel   []bool
+	// Local j's group — the queries routed to it, ascending — is
+	// members[start[j]:start[j+1]]; active lists the non-empty ones. vals
+	// holds the raw contributions parallel to members: one per routed pair
+	// for search, one per group (at its first slot) for join.
+	start, members, active []int
+	vals                   []float64
+	errs                   []error // per active local, pooled dispatch only
+}
+
+var runPool = sync.Pool{New: func() any { return new(glRun) }}
+
+func takeRun() *glRun { return runPool.Get().(*glRun) }
+
+func putRun(r *glRun) {
+	r.q1[0] = nil // do not pin the caller's query
+	runPool.Put(r)
+}
+
+// grow returns s resized to n, reusing its backing array when it fits.
+// Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for i, q := range qs {
-		masks[i] = flat[i*gl.Seg.K : (i+1)*gl.Seg.K]
-		if probs == nil {
-			gl.maskInto(masks[i], q, taus[i], nil)
-		} else {
-			gl.maskInto(masks[i], q, taus[i], probs[i])
+	return s[:n]
+}
+
+// route fills r.sel with the indicator matrix for the batch: one
+// global-model forward pass on plane p (none for Local+), then maskInto per
+// query.
+func (gl *GlobalLocal) route(r *glRun, qs [][]float64, taus []float64, p Precision) error {
+	n, k := len(qs), gl.Seg.K
+	r.sel = grow(r.sel, n*k)
+	clear(r.sel)
+	if gl.Global != nil {
+		r.probs = grow(r.probs, n*k)
+		if err := gl.Global.probsInto(r.probs, qs, taus, p); err != nil {
+			return err
 		}
 	}
-	return masks
+	for i, q := range qs {
+		var probs []float64
+		if gl.Global != nil {
+			probs = r.probs[i*k : (i+1)*k]
+		}
+		gl.maskInto(r.sel[i*k:(i+1)*k], q, taus[i], probs)
+	}
+	return nil
+}
+
+// estimate is the one GlobalLocal estimate pipeline. The paper's search
+// estimate (§5: route with the global model, sum the selected locals,
+// ŷ = Σ ŷ^[i]) and its join estimate (§4, Fig 6: the same indicator matrix,
+// sum-pooled per local) differ only in the per-local reduction, so both are
+// route → group by local → evaluate each non-empty group → delta-adjust →
+// merge, written into out (one slot per query; a single slot for a join).
+// ctx is checked before routing and between groups; a panicking model fails
+// the estimate with a *SegmentError naming it. Groups run serially for one
+// group or one query and otherwise on the shared tensor pool — the workers
+// the GEMM kernels use, so serving has one parallelism budget. The merge
+// sums each query's contributions in ascending segment order whatever the
+// evaluation order was (float addition is not associative) and the per-row
+// network math is batch-size-invariant, so a batch equals its queries
+// estimated one by one, bitwise.
+func (gl *GlobalLocal) estimate(ctx context.Context, r *glRun, qs [][]float64, taus, out []float64, o pipeOpts) error {
+	clear(out)
+	n, k := len(qs), gl.Seg.K
+	if n == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	tr := reqtrace.FromContext(ctx)
+
+	st := reqtrace.StartStage(tr, reqtrace.StageGlobalRoute)
+	err := isolate(routerSeg, func() error { return gl.route(r, qs, taus, o.precision) })
+	st.End()
+	if err != nil {
+		return err
+	}
+	gl.observeSelectivity(r.sel)
+
+	st = reqtrace.StartStage(tr, reqtrace.StageLocalEval)
+	r.start = grow(r.start, k+1)
+	r.members, r.active = r.members[:0], r.active[:0]
+	for j := 0; j < k; j++ {
+		r.start[j] = len(r.members)
+		for i := 0; i < n; i++ {
+			if r.sel[i*k+j] {
+				r.members = append(r.members, i)
+			}
+		}
+		if len(r.members) > r.start[j] {
+			r.active = append(r.active, j)
+		}
+	}
+	r.start[k] = len(r.members)
+	r.vals = grow(r.vals, len(r.members))
+	if len(r.active) <= 1 || n == 1 {
+		for t := 0; t < len(r.active) && err == nil; t++ {
+			err = gl.evalGroup(ctx, r, t, qs, taus, o)
+		}
+	} else {
+		r.errs = grow(r.errs, len(r.active))
+		tensor.DefaultPool().DoCtx(ctx, len(r.active), func(t int) {
+			r.errs[t] = gl.evalGroup(ctx, r, t, qs, taus, o)
+		})
+		err = ctx.Err()
+		for t := 0; t < len(r.errs) && err == nil; t++ {
+			err = r.errs[t] // the first failed segment names the batch's error
+		}
+		clear(r.errs)
+	}
+	st.End()
+	if err != nil {
+		return err
+	}
+
+	st = reqtrace.StartStage(tr, reqtrace.StageMerge)
+	for _, j := range r.active {
+		lo, hi := r.start[j], r.start[j+1]
+		if o.join {
+			out[0] += gl.deltaAdjust(j, r.vals[lo], hi-lo)
+			continue
+		}
+		for p := lo; p < hi; p++ {
+			out[r.members[p]] += gl.deltaAdjust(j, r.vals[p], 1)
+		}
+	}
+	st.End()
+	return nil
+}
+
+// evalGroup evaluates the t-th active local over its routed group into
+// r.vals, panic-isolated. A cancelled context skips the group.
+func (gl *GlobalLocal) evalGroup(ctx context.Context, r *glRun, t int, qs [][]float64, taus []float64, o pipeOpts) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	j := r.active[t]
+	lo, hi := r.start[j], r.start[j+1]
+	return isolate(j, func() error {
+		if faultinject.Armed() {
+			faultinject.LocalEval.Fire()
+		}
+		gqs, gts := gather(qs, taus, r.members[lo:hi])
+		if o.join {
+			r.vals[lo] = gl.Locals[j].EstimateJoinPooled(gqs, gts[0])
+			return nil
+		}
+		return gl.Locals[j].estimateInto(r.vals[lo:hi], gqs, gts, o.precision)
+	})
+}
+
+// gather returns the rows of qs and taus at idx (ascending, non-empty). A
+// contiguous run — a single query, or a local every query routes to —
+// aliases the input instead of copying; locals only read their inputs.
+func gather(qs [][]float64, taus []float64, idx []int) ([][]float64, []float64) {
+	first, n := idx[0], len(idx)
+	if idx[n-1]-first == n-1 {
+		return qs[first : first+n], taus[first : first+n]
+	}
+	gqs, gts := make([][]float64, n), make([]float64, n)
+	for k, i := range idx {
+		gqs[k], gts[k] = qs[i], taus[i]
+	}
+	return gqs, gts
+}
+
+// observeSelectivity records, per query of the indicator matrix sel, the
+// fraction of local models selected into
+// simquery_routing_selectivity{method=...} — the paper's pruning claim as a
+// live signal, one series per model. Free (one atomic load) when telemetry
+// is off.
+func (gl *GlobalLocal) observeSelectivity(sel []bool) {
+	rec := telemetry.Default()
+	k := gl.Seg.K
+	if !rec.Enabled() || k == 0 {
+		return
+	}
+	for ; len(sel) >= k; sel = sel[k:] {
+		n := 0
+		for _, on := range sel[:k] {
+			if on {
+				n++
+			}
+		}
+		rec.ObserveLabeled(telemetry.MetricRoutingSelectivity, telemetry.LabelMethod, gl.Label,
+			float64(n)/float64(k))
+	}
+}
+
+// must is the error channel of the plain entry points: they have none, so
+// a pipeline error re-panics on the caller.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // SelectedSegments returns which local models will be evaluated for (q, τ):
 // the global model's picks, hard-filtered by the triangle-inequality bound;
 // for Local+ every not-provably-empty segment.
 func (gl *GlobalLocal) SelectedSegments(q []float64, tau float64) []bool {
-	if gl.Global == nil {
-		return gl.maskFor(q, tau, nil)
+	var r glRun // not pooled: its mask is the result
+	if err := gl.route(&r, [][]float64{q}, []float64{tau}, F64); err != nil {
+		panic(err)
 	}
-	return gl.maskFor(q, tau, gl.Global.Probs(q, tau))
+	return r.sel
 }
 
-// observeSelectivity records the fraction of local models a mask selects
-// into simquery_routing_selectivity{method=...} — the paper's pruning
-// claim as a live signal, one series per model so a GL+ and a Local+
-// serving side by side stay distinguishable. Free (one atomic load, no
-// allocation) when telemetry is off.
-func (gl *GlobalLocal) observeSelectivity(sel []bool) {
-	rec := telemetry.Default()
-	if !rec.Enabled() || gl.Seg.K == 0 {
-		return
+// EstimateSearchPrecision estimates one (q, τ) on inference plane p (F64 is
+// the bitwise reference; see precision.go) with per-request cancellation
+// and per-model panic isolation.
+func (gl *GlobalLocal) EstimateSearchPrecision(ctx context.Context, q []float64, tau float64, p Precision) (float64, error) {
+	r := takeRun()
+	defer putRun(r)
+	r.q1[0], r.t1[0] = q, tau
+	err := gl.estimate(ctx, r, r.q1[:], r.t1[:], r.out1[:], pipeOpts{precision: p})
+	return r.out1[0], err
+}
+
+// EstimateSearchBatchPrecision estimates many (q, τ) pairs at once on plane
+// p: one routing pass, one sub-batch per selected local. out[i] is bitwise
+// identical to EstimateSearchPrecision(qs[i], taus[i]).
+func (gl *GlobalLocal) EstimateSearchBatchPrecision(ctx context.Context, qs [][]float64, taus []float64, p Precision) ([]float64, error) {
+	if len(qs) != len(taus) {
+		return nil, fmt.Errorf("model: batch size mismatch: %d queries, %d thresholds", len(qs), len(taus))
 	}
-	n := 0
-	for _, on := range sel {
-		if on {
-			n++
-		}
+	r := takeRun()
+	defer putRun(r)
+	out := make([]float64, len(qs))
+	if err := gl.estimate(ctx, r, qs, taus, out, pipeOpts{precision: p}); err != nil {
+		return nil, err
 	}
-	rec.ObserveLabeled(telemetry.MetricRoutingSelectivity, telemetry.LabelMethod, gl.Label,
-		float64(n)/float64(gl.Seg.K))
+	return out, nil
+}
+
+// EstimateJoinCtx routes each query of the set via the global model's
+// indicator matrix, sum-pools the routed queries per local model, and sums
+// the pooled local estimates (Fig 6). Joins always run the F64 plane.
+func (gl *GlobalLocal) EstimateJoinCtx(ctx context.Context, qs [][]float64, tau float64) (float64, error) {
+	r := takeRun()
+	defer putRun(r)
+	r.taus = grow(r.taus, len(qs))
+	for i := range r.taus {
+		r.taus[i] = tau
+	}
+	err := gl.estimate(ctx, r, qs, r.taus, r.out1[:], pipeOpts{join: true})
+	return r.out1[0], err
+}
+
+// EstimateSearchCtx is EstimateSearchPrecision on the F64 plane.
+func (gl *GlobalLocal) EstimateSearchCtx(ctx context.Context, q []float64, tau float64) (float64, error) {
+	return gl.EstimateSearchPrecision(ctx, q, tau, F64)
+}
+
+// EstimateSearchBatchCtx is EstimateSearchBatchPrecision on the F64 plane.
+func (gl *GlobalLocal) EstimateSearchBatchCtx(ctx context.Context, qs [][]float64, taus []float64) ([]float64, error) {
+	return gl.EstimateSearchBatchPrecision(ctx, qs, taus, F64)
 }
 
 // EstimateSearch sums the selected local models' estimates (ŷ = Σ ŷ^[i]).
+// Like the other plain methods it runs the pipeline under
+// context.Background() and panics where the Ctx form returns an error.
 func (gl *GlobalLocal) EstimateSearch(q []float64, tau float64) float64 {
-	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	sel := gl.SelectedSegments(q, tau)
-	sp.End()
-	gl.observeSelectivity(sel)
-	sp = telemetry.StartStage(telemetry.StageLocalEval)
-	var total float64
-	for i, on := range sel {
-		if on {
-			total += gl.deltaAdjust(i, gl.Locals[i].EstimateSearch(q, tau))
-		}
-	}
-	sp.End()
-	return total
+	return must(gl.EstimateSearchCtx(context.Background(), q, tau))
 }
 
-// EstimateSearchBatch estimates many (q, τ) pairs at once: the global model
-// routes the whole batch in one forward pass, queries are grouped by
-// selected local model (the same grouping the join path uses), each local
-// evaluates its sub-batch, and locals run in parallel on the shared tensor
-// pool — the same worker set the GEMM kernels dispatch to, so serving has
-// one parallelism budget (cfg.Workers still bounds the training fan-outs).
-// Per-query results are bitwise identical to EstimateSearch: the per-row
-// network math is batch-size-invariant, and the final reduction sums local
-// contributions in ascending segment order, matching the serial loop (float
-// addition is not associative).
+// EstimateSearchBatch is the plain form of EstimateSearchBatchCtx.
 func (gl *GlobalLocal) EstimateSearchBatch(qs [][]float64, taus []float64) []float64 {
-	if len(qs) != len(taus) {
-		panic(fmt.Sprintf("model: batch size mismatch: %d queries, %d thresholds", len(qs), len(taus)))
-	}
-	out := make([]float64, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	masks := gl.selectionMasks(qs, taus)
-	sp.End()
-	for _, m := range masks {
-		gl.observeSelectivity(m)
-	}
-	sp = telemetry.StartStage(telemetry.StageLocalEval)
-	groups := make([][]int, gl.Seg.K)
-	for i := range qs {
-		for j, on := range masks[i] {
-			if on {
-				groups[j] = append(groups[j], i)
-			}
-		}
-	}
-	ests := make([][]float64, gl.Seg.K)
-	idxs := make([]int, 0, gl.Seg.K)
-	for j := range groups {
-		if len(groups[j]) > 0 {
-			idxs = append(idxs, j)
-		}
-	}
-	tensor.DefaultPool().Do(len(idxs), func(t int) {
-		j := idxs[t]
-		g := groups[j]
-		gqs := make([][]float64, len(g))
-		gts := make([]float64, len(g))
-		for k, i := range g {
-			gqs[k] = qs[i]
-			gts[k] = taus[i]
-		}
-		ests[j] = gl.Locals[j].EstimateSearchBatch(gqs, gts)
-	})
-	sp.End()
-	// Deterministic reduction: ascending segment order per query.
-	sp = telemetry.StartStage(telemetry.StageMerge)
-	for j, g := range groups {
-		for k, i := range g {
-			out[i] += gl.deltaAdjust(j, ests[j][k])
-		}
-	}
-	sp.End()
-	return out
+	return must(gl.EstimateSearchBatchCtx(context.Background(), qs, taus))
 }
 
-// EstimateJoin routes each query of the set to local models via the global
-// model's indicator matrix (mask-based routing), sum-pools the routed
-// queries per local model, and sums the local pooled estimates (Fig 6).
+// EstimateJoin is the plain form of EstimateJoinCtx.
 func (gl *GlobalLocal) EstimateJoin(qs [][]float64, tau float64) float64 {
-	if len(qs) == 0 {
-		return 0
-	}
-	taus := make([]float64, len(qs))
-	for i := range taus {
-		taus[i] = tau
-	}
-	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	masks := gl.selectionMasks(qs, taus)
-	sp.End()
-	for _, m := range masks {
-		gl.observeSelectivity(m)
-	}
-	sp = telemetry.StartStage(telemetry.StageLocalEval)
-	var total float64
-	for j, local := range gl.Locals {
-		var routed [][]float64
-		for i, q := range qs {
-			if masks[i][j] {
-				routed = append(routed, q)
-			}
-		}
-		if len(routed) == 0 {
-			continue
-		}
-		total += gl.deltaAdjustJoin(j, local.EstimateJoinPooled(routed, tau), len(routed))
-	}
-	sp.End()
-	return total
+	return must(gl.EstimateJoinCtx(context.Background(), qs, tau))
 }
 
 // JoinSegSample is one labeled join training example with per-query
@@ -631,30 +758,14 @@ func (gl *GlobalLocal) FineTuneJoin(sets []JoinSegSample, cfg TrainConfig) error
 			perLocal[j] = append(perLocal[j], JoinSample{Qs: routed, Tau: s.Tau, Card: card})
 		}
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, gl.cfg.Workers)
-	errs := make([]error, gl.Seg.K)
-	for j, local := range gl.Locals {
+	return gl.eachLocal(func(j int, local *BasicModel) error {
 		if len(perLocal[j]) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(j int, local *BasicModel) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			lcfg := cfg
-			lcfg.Seed = cfg.Seed + int64(j)*104729
-			errs[j] = local.FineTuneJoin(perLocal[j], lcfg)
-		}(j, local)
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return fmt.Errorf("model: join fine-tune local %d: %w", j, err)
-		}
-	}
-	return nil
+		lcfg := cfg
+		lcfg.Seed = cfg.Seed + int64(j)*104729
+		return local.FineTuneJoin(perLocal[j], lcfg)
+	})
 }
 
 // InsertPoints routes new data points to their nearest segments (§5.3) and
@@ -723,49 +834,29 @@ func (gl *GlobalLocal) RemovePoints(indices []int) (map[int]bool, error) {
 	return affected, nil
 }
 
-// IncrementalTrain retrains only the locals named in affected (plus the
-// global model) for a few epochs — the paper's incremental-learning path
-// that replaces hours of retraining with minutes (Exp-11).
+// IncrementalTrain retrains only the locals named in affected (nil = all)
+// plus the global model — with a few epochs, the paper's incremental-learning
+// path that replaces hours of retraining with minutes (Exp-11).
 func (gl *GlobalLocal) IncrementalTrain(samples []SegSample, affected map[int]bool, cfg TrainConfig, gcfg GlobalTrainConfig) error {
 	if len(samples) == 0 {
-		return fmt.Errorf("model: no incremental samples")
+		return fmt.Errorf("model: no training samples")
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, gl.cfg.Workers)
-	var mu sync.Mutex
-	var firstErr error
-	for i := range gl.Locals {
+	err := gl.eachLocal(func(i int, local *BasicModel) error {
 		if affected != nil && !affected[i] {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			lcfg := cfg
-			lcfg.Seed = cfg.Seed + int64(i)*7919
-			if err := gl.Locals[i].Train(gl.localTrainingSet(samples, i, lcfg.Seed), lcfg); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("model: incremental local %d: %w", i, err)
-				}
-				mu.Unlock()
-			}
-		}(i)
+		lcfg := cfg
+		lcfg.Seed = cfg.Seed + int64(i)*7919
+		return local.Train(gl.localTrainingSet(samples, i, lcfg.Seed), lcfg)
+	})
+	if err != nil || gl.Global == nil {
+		return err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	gs := make([]GlobalSample, len(samples))
+	for i, s := range samples {
+		gs[i] = GlobalSample{Q: s.Q, Tau: s.Tau, SegCards: s.SegCards}
 	}
-	if gl.Global != nil {
-		gs := make([]GlobalSample, len(samples))
-		for i, s := range samples {
-			gs[i] = GlobalSample{Q: s.Q, Tau: s.Tau, SegCards: s.SegCards}
-		}
-		return gl.Global.Train(gs, gcfg)
-	}
-	return nil
+	return gl.Global.Train(gs, gcfg)
 }
 
 // Name implements estimator.SearchEstimator.
@@ -895,15 +986,7 @@ func (gl *GlobalLocal) UnmarshalBinary(data []byte) error {
 	// Rebuild the triangle-bound reference points; the radii were saved.
 	gl.MetricRadii = spec.MetricRadii
 	if gl.MetricRadii != nil {
-		gl.refs = make([][]float64, len(spec.Centroids))
-		for i, c := range spec.Centroids {
-			ref := c
-			if gl.Metric == dist.Angular {
-				ref = append([]float64(nil), c...)
-				normalizeVec(ref)
-			}
-			gl.refs[i] = ref
-		}
+		gl.initRefs()
 	}
 	gl.cfg.fill(gl.Dim)
 	return nil

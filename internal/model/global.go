@@ -9,6 +9,7 @@ import (
 
 	"simquery/internal/dist"
 	"simquery/internal/nn"
+	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
 	"simquery/internal/tensor"
 )
@@ -78,11 +79,8 @@ func (g *GlobalModel) params() []*nn.Param {
 	return append(ps, g.G.Params()...)
 }
 
-// forward produces per-segment logits for a batch.
-func (g *GlobalModel) forward(qs [][]float64, taus []float64, train bool) *tensor.Matrix {
-	if !train {
-		return g.infer(qs, taus, nil)
-	}
+// forward produces per-segment logits for a training batch.
+func (g *GlobalModel) forward(qs [][]float64, taus []float64) *tensor.Matrix {
 	z4 := g.E4.Forward(queryBatch(nil, qs, g.Dim), true)
 	z5 := g.E5.Forward(tauBatch(nil, taus, g.TauScale), true)
 	z6 := g.E6.Forward(distBatch(nil, qs, g.Centroids, g.Metric, g.TauScale), true)
@@ -93,7 +91,7 @@ func (g *GlobalModel) forward(qs [][]float64, taus []float64, train bool) *tenso
 // the scratch-ownership contract; feature builds run first under the
 // feature_build span).
 func (g *GlobalModel) infer(qs [][]float64, taus []float64, s *nn.Scratch) *tensor.Matrix {
-	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
+	sp := reqtrace.StartStage(nil, reqtrace.StageFeatureBuild)
 	xq := queryBatch(s, qs, g.Dim)
 	xt := tauBatch(s, taus, g.TauScale)
 	xd := distBatch(s, qs, g.Centroids, g.Metric, g.TauScale)
@@ -195,7 +193,7 @@ func (g *GlobalModel) Train(samples []GlobalSample, cfg GlobalTrainConfig) error
 					}
 				}
 			}
-			logits := g.forward(qs, taus, true)
+			logits := g.forward(qs, taus)
 			lv, grad := nn.WeightedBCELoss{}.Compute(logits, labels, eps)
 			epochLoss += lv
 			batches++
@@ -214,34 +212,49 @@ func (g *GlobalModel) Train(samples []GlobalSample, cfg GlobalTrainConfig) error
 	return nil
 }
 
+// probsInto writes the len(qs)×Segments selection probabilities row-major
+// into dst on inference plane p — the single routing body. Any lowered tier
+// runs the router's float32 plane (it is never quantized, see
+// loweredGlobal); the sigmoid always runs in float64 on the widened logits,
+// so probabilities keep the same shape near the σ threshold as the
+// reference path.
+func (g *GlobalModel) probsInto(dst []float64, qs [][]float64, taus []float64, p Precision) error {
+	if p == F64 {
+		s := takeScratch()
+		defer putScratch(s)
+		logits := g.infer(qs, taus, s)
+		for i := range dst {
+			dst[i] = tensor.Sigmoid(logits.Data[i])
+		}
+		return nil
+	}
+	lg, err := g.lowered()
+	if err != nil {
+		return err
+	}
+	s := takeScratch32()
+	defer putScratch32(s)
+	logits := lg.infer32(g, qs, taus, s)
+	for i := range dst {
+		dst[i] = tensor.Sigmoid(float64(logits.Data[i]))
+	}
+	return nil
+}
+
 // Probs returns the per-segment selection probabilities I^[i] for one
 // query.
 func (g *GlobalModel) Probs(q []float64, tau float64) []float64 {
-	s := takeScratch()
-	defer putScratch(s)
-	logits := g.infer([][]float64{q}, []float64{tau}, s)
-	out := make([]float64, g.Segments)
-	for i := range out {
-		out[i] = tensor.Sigmoid(logits.Data[i])
-	}
-	return out
+	return g.ProbsBatch([][]float64{q}, []float64{tau})[0]
 }
 
-// ProbsBatch returns selection probabilities for many queries at once.
+// ProbsBatch returns selection probabilities for many queries at once (one
+// backing array for all rows).
 func (g *GlobalModel) ProbsBatch(qs [][]float64, taus []float64) [][]float64 {
-	s := takeScratch()
-	defer putScratch(s)
-	logits := g.infer(qs, taus, s)
-	// One backing array for all rows: the batched serving path calls this
-	// once per batch, so per-row allocations would dominate its alloc count.
-	out := make([][]float64, logits.Rows)
-	flat := make([]float64, logits.Rows*g.Segments)
+	flat := make([]float64, len(qs)*g.Segments)
+	g.probsInto(flat, qs, taus, F64) // the F64 plane cannot fail
+	out := make([][]float64, len(qs))
 	for i := range out {
-		row := flat[i*g.Segments : (i+1)*g.Segments]
-		for j := 0; j < g.Segments; j++ {
-			row[j] = tensor.Sigmoid(logits.At(i, j))
-		}
-		out[i] = row
+		out[i] = flat[i*g.Segments : (i+1)*g.Segments]
 	}
 	return out
 }

@@ -7,7 +7,7 @@ import (
 
 	"simquery/internal/dist"
 	"simquery/internal/nn"
-	"simquery/internal/telemetry"
+	"simquery/internal/reqtrace"
 	"simquery/internal/tensor"
 )
 
@@ -183,22 +183,23 @@ func (m *BasicModel) lowerPlane(p Precision, gen uint64) (*loweredBasic, error) 
 		distScale: float32(m.DistScale),
 		anchors:   narrowVecs32(m.Anchors),
 	}
-	var err error
-	if lb.e1, err = lower(m.E1); err != nil {
-		return nil, fmt.Errorf("model: lower %s E1: %w", m.Label, err)
-	}
-	if lb.e2, err = lower(m.E2); err != nil {
-		return nil, fmt.Errorf("model: lower %s E2: %w", m.Label, err)
-	}
-	if m.E3 != nil {
-		if lb.e3, err = lower(m.E3); err != nil {
-			return nil, fmt.Errorf("model: lower %s E3: %w", m.Label, err)
+	nets, err := lowerNets(lower, m.Label, m.E1, m.E2, m.E3, m.F)
+	lb.e1, lb.e2, lb.e3, lb.f = nets[0], nets[1], nets[2], nets[3]
+	return lb, err
+}
+
+// lowerNets lowers each non-nil network with lower, naming owner and the
+// network's position on failure.
+func lowerNets(lower func(*nn.Sequential) (*nn.Network32, error), owner string, nets ...*nn.Sequential) (out [4]*nn.Network32, err error) {
+	for i, n := range nets {
+		if n == nil {
+			continue
+		}
+		if out[i], err = lower(n); err != nil {
+			return out, fmt.Errorf("model: lower %s network %d: %w", owner, i+1, err)
 		}
 	}
-	if lb.f, err = lower(m.F); err != nil {
-		return nil, fmt.Errorf("model: lower %s F: %w", m.Label, err)
-	}
-	return lb, nil
+	return out, nil
 }
 
 // PreCheckPrecision eagerly builds (and caches) the lowered plane, so a
@@ -215,7 +216,7 @@ func (m *BasicModel) PreCheckPrecision(p Precision) error {
 // infer32 is the float32 mirror of infer: features and every network pass
 // run in float32 scratch memory.
 func (lb *loweredBasic) infer32(m *BasicModel, qs [][]float64, taus []float64, s *nn.Scratch32) *tensor.Matrix32 {
-	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
+	sp := reqtrace.StartStage(nil, reqtrace.StageFeatureBuild)
 	xq := queryBatch32(s, qs, m.Dim)
 	xt := tauBatch32(s, taus, lb.tauScale)
 	var xd *tensor.Matrix32
@@ -257,39 +258,6 @@ func concatCols32(s *nn.Scratch32, ms ...*tensor.Matrix32) *tensor.Matrix32 {
 	return out
 }
 
-// EstimateSearchLowered is EstimateSearch on a lowered plane.
-func (m *BasicModel) EstimateSearchLowered(q []float64, tau float64, p Precision) (float64, error) {
-	ests, err := m.EstimateSearchBatchLowered([][]float64{q}, []float64{tau}, p)
-	if err != nil {
-		return 0, err
-	}
-	return ests[0], nil
-}
-
-// EstimateSearchBatchLowered is EstimateSearchBatch on a lowered plane:
-// one packed-float32 (or int8) forward pass, widened only at the final
-// exp/cap step.
-func (m *BasicModel) EstimateSearchBatchLowered(qs [][]float64, taus []float64, p Precision) ([]float64, error) {
-	if len(qs) != len(taus) {
-		panic(fmt.Sprintf("model: batch size mismatch: %d queries, %d thresholds", len(qs), len(taus)))
-	}
-	if p == F64 {
-		return m.EstimateSearchBatch(qs, taus), nil
-	}
-	lb, err := m.lowered(p)
-	if err != nil {
-		return nil, err
-	}
-	s := takeScratch32()
-	defer putScratch32(s)
-	pred := lb.infer32(m, qs, taus, s)
-	out := make([]float64, pred.Rows)
-	for i := range out {
-		out[i] = m.capCard(expCard(float64(pred.Data[i])))
-	}
-	return out, nil
-}
-
 // --- GlobalModel lowering ---
 
 // loweredGlobal is the cached float32 plane of the global router. The
@@ -317,33 +285,19 @@ func (g *GlobalModel) lowered() (*loweredGlobal, error) {
 		centroids: narrowVecs32(g.Centroids),
 		tauScale:  float32(g.TauScale),
 	}
-	var err error
-	if lg.e4, err = nn.Lower32(g.E4); err != nil {
-		return nil, fmt.Errorf("model: lower global E4: %w", err)
-	}
-	if lg.e5, err = nn.Lower32(g.E5); err != nil {
-		return nil, fmt.Errorf("model: lower global E5: %w", err)
-	}
-	if lg.e6, err = nn.Lower32(g.E6); err != nil {
-		return nil, fmt.Errorf("model: lower global E6: %w", err)
-	}
-	if lg.g, err = nn.Lower32(g.G); err != nil {
-		return nil, fmt.Errorf("model: lower global G: %w", err)
-	}
-	return lg, nil
-}
-
-// ProbsBatch32 is ProbsBatch on the float32 plane. The sigmoid runs in
-// float64 on the widened logits, so probabilities keep the same shape near
-// the σ threshold as the reference path.
-func (g *GlobalModel) ProbsBatch32(qs [][]float64, taus []float64) ([][]float64, error) {
-	lg, err := g.lowered()
+	nets, err := lowerNets(nn.Lower32, "global", g.E4, g.E5, g.E6, g.G)
 	if err != nil {
 		return nil, err
 	}
-	s := takeScratch32()
-	defer putScratch32(s)
-	sp := telemetry.StartStage(telemetry.StageFeatureBuild)
+	lg.e4, lg.e5, lg.e6, lg.g = nets[0], nets[1], nets[2], nets[3]
+	g.low32.Store(lg)
+	return lg, nil
+}
+
+// infer32 is the float32 mirror of GlobalModel.infer: per-segment logits
+// for a batch, in float32 scratch memory.
+func (lg *loweredGlobal) infer32(g *GlobalModel, qs [][]float64, taus []float64, s *nn.Scratch32) *tensor.Matrix32 {
+	sp := reqtrace.StartStage(nil, reqtrace.StageFeatureBuild)
 	xq := queryBatch32(s, qs, g.Dim)
 	xt := tauBatch32(s, taus, lg.tauScale)
 	xd := distBatch32(s, xq, lg.centroids, g.Metric, lg.tauScale)
@@ -351,17 +305,7 @@ func (g *GlobalModel) ProbsBatch32(qs [][]float64, taus []float64) ([][]float64,
 	z4 := lg.e4.Infer32(xq, s)
 	z5 := lg.e5.Infer32(xt, s)
 	z6 := lg.e6.Infer32(xd, s)
-	logits := lg.g.Infer32(concatCols32(s, z4, z5, z6), s)
-	out := make([][]float64, logits.Rows)
-	flat := make([]float64, logits.Rows*g.Segments)
-	for i := range out {
-		row := flat[i*g.Segments : (i+1)*g.Segments]
-		for j := 0; j < g.Segments; j++ {
-			row[j] = tensor.Sigmoid(float64(logits.At(i, j)))
-		}
-		out[i] = row
-	}
-	return out, nil
+	return lg.g.Infer32(concatCols32(s, z4, z5, z6), s)
 }
 
 // --- GlobalLocal precision serving ---
@@ -385,97 +329,4 @@ func (gl *GlobalLocal) PreCheckPrecision(p Precision) error {
 		}
 	}
 	return nil
-}
-
-// EstimateSearchPrecision is EstimateSearch on the p tier.
-func (gl *GlobalLocal) EstimateSearchPrecision(q []float64, tau float64, p Precision) (float64, error) {
-	ests, err := gl.EstimateSearchBatchPrecision([][]float64{q}, []float64{tau}, p)
-	if err != nil {
-		return 0, err
-	}
-	return ests[0], nil
-}
-
-// EstimateSearchBatchPrecision is EstimateSearchBatch on the p tier: the
-// global router runs float32 (both F32 and Int8 tiers), routing decisions
-// feed the same maskInto/grouping machinery as the reference path, and the
-// grouped sub-batches evaluate on the locals' lowered planes in parallel on
-// the shared tensor pool. The merge is the same deterministic
-// ascending-segment reduction.
-func (gl *GlobalLocal) EstimateSearchBatchPrecision(qs [][]float64, taus []float64, p Precision) ([]float64, error) {
-	if p == F64 {
-		return gl.EstimateSearchBatch(qs, taus), nil
-	}
-	if len(qs) != len(taus) {
-		panic(fmt.Sprintf("model: batch size mismatch: %d queries, %d thresholds", len(qs), len(taus)))
-	}
-	out := make([]float64, len(qs))
-	if len(qs) == 0 {
-		return out, nil
-	}
-	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-	var probs [][]float64
-	if gl.Global != nil {
-		var err error
-		if probs, err = gl.Global.ProbsBatch32(qs, taus); err != nil {
-			sp.End()
-			return nil, err
-		}
-	}
-	masks := make([][]bool, len(qs))
-	flat := make([]bool, len(qs)*gl.Seg.K)
-	for i, q := range qs {
-		masks[i] = flat[i*gl.Seg.K : (i+1)*gl.Seg.K]
-		if probs == nil {
-			gl.maskInto(masks[i], q, taus[i], nil)
-		} else {
-			gl.maskInto(masks[i], q, taus[i], probs[i])
-		}
-	}
-	sp.End()
-	for _, m := range masks {
-		gl.observeSelectivity(m)
-	}
-	sp = telemetry.StartStage(telemetry.StageLocalEval)
-	groups := make([][]int, gl.Seg.K)
-	for i := range qs {
-		for j, on := range masks[i] {
-			if on {
-				groups[j] = append(groups[j], i)
-			}
-		}
-	}
-	ests := make([][]float64, gl.Seg.K)
-	errs := make([]error, gl.Seg.K)
-	idxs := make([]int, 0, gl.Seg.K)
-	for j := range groups {
-		if len(groups[j]) > 0 {
-			idxs = append(idxs, j)
-		}
-	}
-	tensor.DefaultPool().Do(len(idxs), func(t int) {
-		j := idxs[t]
-		g := groups[j]
-		gqs := make([][]float64, len(g))
-		gts := make([]float64, len(g))
-		for k, i := range g {
-			gqs[k] = qs[i]
-			gts[k] = taus[i]
-		}
-		ests[j], errs[j] = gl.Locals[j].EstimateSearchBatchLowered(gqs, gts, p)
-	})
-	sp.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sp = telemetry.StartStage(telemetry.StageMerge)
-	for j, g := range groups {
-		for k, i := range g {
-			out[i] += gl.deltaAdjust(j, ests[j][k])
-		}
-	}
-	sp.End()
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,6 +205,7 @@ func TestLoweredPlaneCacheAndInvalidation(t *testing.T) {
 // within its q-error budget, PreCheckPrecision lowers eagerly, and repeated
 // calls are deterministic.
 func TestGlobalLocalPrecisionTiers(t *testing.T) {
+	ctx := context.Background()
 	f := getFixture(t)
 	gl := trainedGL(t, GLMLP)
 	if err := gl.PreCheckPrecision(F32); err != nil {
@@ -215,6 +217,12 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 	if err := gl.PreCheckPrecision(F64); err != nil {
 		t.Fatalf("PreCheckPrecision(F64): %v", err)
 	}
+	// The pre-check caches the router's plane too: serving must not re-lower
+	// the global model on every routing pass.
+	lg1, _ := gl.Global.lowered()
+	if lg2, _ := gl.Global.lowered(); lg1 == nil || lg1 != lg2 || gl.Global.low32.Load() != lg1 {
+		t.Fatal("the global router's lowered plane is not cached")
+	}
 	qs := make([][]float64, len(f.w.Test))
 	taus := make([]float64, len(f.w.Test))
 	for i, q := range f.w.Test {
@@ -222,7 +230,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 		taus[i] = q.Tau
 	}
 	want := gl.EstimateSearchBatch(qs, taus)
-	got, err := gl.EstimateSearchBatchPrecision(qs, taus, F32)
+	got, err := gl.EstimateSearchBatchPrecision(ctx, qs, taus, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +247,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 		t.Fatalf("%d/%d queries diverged beyond 1e-3 (budget %d)", rerouted, len(want), max)
 	}
 
-	got8, err := gl.EstimateSearchBatchPrecision(qs, taus, Int8)
+	got8, err := gl.EstimateSearchBatchPrecision(ctx, qs, taus, Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +263,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 	}
 
 	// Determinism: a second pass returns identical estimates.
-	again, err := gl.EstimateSearchBatchPrecision(qs, taus, F32)
+	again, err := gl.EstimateSearchBatchPrecision(ctx, qs, taus, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +274,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 	}
 
 	// Single-query precision path agrees with the batch.
-	single, err := gl.EstimateSearchPrecision(qs[0], taus[0], F32)
+	single, err := gl.EstimateSearchPrecision(ctx, qs[0], taus[0], F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +283,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 	}
 
 	// F64 tier is the reference path verbatim.
-	ref, err := gl.EstimateSearchBatchPrecision(qs, taus, F64)
+	ref, err := gl.EstimateSearchBatchPrecision(ctx, qs, taus, F64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +294,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 	}
 
 	// Empty batches are legal.
-	empty, err := gl.EstimateSearchBatchPrecision(nil, nil, F32)
+	empty, err := gl.EstimateSearchBatchPrecision(ctx, nil, nil, F32)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v, %v", empty, err)
 	}
@@ -295,6 +303,7 @@ func TestGlobalLocalPrecisionTiers(t *testing.T) {
 // TestLocalPlusPrecision covers the Global == nil routing branch (Local+
 // has no global router — masks come from triangle-inequality pruning only).
 func TestLocalPlusPrecision(t *testing.T) {
+	ctx := context.Background()
 	f := getFixture(t)
 	gl := trainedGL(t, LocalPlus)
 	if err := gl.PreCheckPrecision(F32); err != nil {
@@ -307,7 +316,7 @@ func TestLocalPlusPrecision(t *testing.T) {
 		taus[i] = f.w.Test[i].Tau
 	}
 	want := gl.EstimateSearchBatch(qs, taus)
-	got, err := gl.EstimateSearchBatchPrecision(qs, taus, F32)
+	got, err := gl.EstimateSearchBatchPrecision(ctx, qs, taus, F32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"simquery/internal/dist"
+	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
 )
 
-// TestEstimateSearchAllocsNopRecorder pins the allocation budget of the
-// serving hot path with telemetry disabled: the instrumentation (span
-// starts, selectivity gate) must add zero allocations on top of the
-// pre-telemetry steady state — one selection mask + one probs row for the
-// GL path.
+// TestEstimateSearchAllocsNopRecorder pins the allocation budget of a
+// single estimate with telemetry and tracing off: the pipeline's working set
+// (probabilities, indicator matrix, groups, contributions) is recycled and
+// the stage helper reads no clock, so the steady state allocates nothing.
+// (cardest's TestHardenedEstimateAllocs pins the same call through Harden.)
 func TestEstimateSearchAllocsNopRecorder(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime bypasses sync.Pool; allocation counts are not meaningful")
@@ -22,12 +23,11 @@ func TestEstimateSearchAllocsNopRecorder(t *testing.T) {
 	f := getFixture(t)
 	q := f.w.Test[0]
 	gl.EstimateSearch(q.Vec, q.Tau) // warm scratch pools
-	const budget = 4                // seed steady state; telemetry must not raise it
 	allocs := testing.AllocsPerRun(200, func() {
 		gl.EstimateSearch(q.Vec, q.Tau)
 	})
-	if allocs > budget {
-		t.Errorf("EstimateSearch with nop recorder: %g allocs/op, budget %d", allocs, budget)
+	if allocs > 0 {
+		t.Errorf("EstimateSearch with nop recorder: %g allocs/op, want 0", allocs)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestRoutingSelectivityRecorded(t *testing.T) {
 	}
 
 	// Stage spans for the full pipeline taxonomy were recorded too.
-	for _, stage := range []string{telemetry.StageGlobalRoute, telemetry.StageLocalEval, telemetry.StageMerge, telemetry.StageFeatureBuild} {
-		if s, ok := reg.HistogramSnapshotOf(telemetry.MetricStageSeconds, stage); !ok || s.Count == 0 {
+	for _, stage := range []reqtrace.Stage{reqtrace.StageGlobalRoute, reqtrace.StageLocalEval, reqtrace.StageMerge, reqtrace.StageFeatureBuild} {
+		if s, ok := reg.HistogramSnapshotOf(telemetry.MetricStageSeconds, stage.String()); !ok || s.Count == 0 {
 			t.Errorf("stage %q not recorded (ok=%v)", stage, ok)
 		}
 	}

@@ -33,7 +33,7 @@ func TestTracesHandlerServesRecentTraces(t *testing.T) {
 	newTestTracer(t, Config{Ring: 16})
 	for i := 0; i < 5; i++ {
 		_, tr := StartRequest(context.Background(), "GL-CNN", 0.25)
-		st := tr.StartStage(StageCacheLookup)
+		st := StartStage(tr, StageCacheLookup)
 		time.Sleep(50 * time.Microsecond)
 		st.End()
 		tr.SetFlag(FlagCacheMiss)
@@ -117,7 +117,7 @@ func TestLogValue(t *testing.T) {
 	}
 	newTestTracer(t, Config{})
 	_, tr := StartRequest(context.Background(), "GL-CNN", 0.5)
-	st := tr.StartStage(StageLocalEval)
+	st := StartStage(tr, StageLocalEval)
 	st.End()
 	tr.SetFlag(FlagDegraded)
 	tr.SetOutcome(0, errors.New("boom"))

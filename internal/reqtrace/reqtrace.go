@@ -13,24 +13,27 @@
 // context.WithValue node), and a published Trace is immutable, so readers
 // scrape the ring without locks while serving continues.
 //
-// The package is stdlib-only and imports nothing from this repository, so
-// every layer — cardest, internal/model, internal/estcache,
-// internal/tensor — can record into a trace without import cycles.
+// The package imports only the stdlib and internal/telemetry (itself
+// stdlib-only), so every layer — cardest, internal/model, internal/estcache,
+// internal/tensor — can time a stage without import cycles. It owns the one
+// stage table of the repository: StartStage times a stage once and feeds
+// both observers, the request's Trace and the Prometheus span histogram.
 package reqtrace
 
 import (
 	"context"
 	"sync/atomic"
 	"time"
+
+	"simquery/internal/telemetry"
 )
 
-// Stage indexes the per-stage timing slots of a Trace. The taxonomy
-// extends the telemetry span stages (DESIGN.md §8) with the serving-path
-// stages only a request-scoped trace can attribute: cache lookup, cache
-// anchor fill, fallback degradation, and the pooled parallel region.
+// Stage names one timed pipeline stage: the index of a Trace's timing slot
+// and, through String, the stage label of simquery_stage_seconds.
 type Stage uint8
 
-// The trace stage taxonomy (DESIGN.md §13).
+// The stage taxonomy (DESIGN.md §13) — the only place stage names are
+// declared.
 const (
 	// StageCacheLookup is the estimate-cache probe (fingerprint, LRU,
 	// interpolation) including a miss's singleflight wait.
@@ -48,13 +51,24 @@ const (
 	StagePool
 	// StageFallback is the degraded-path fallback estimate.
 	StageFallback
+	// StageFeatureBuild is one network's input construction (x_Q stacking,
+	// τ scaling, anchor distances). It and the labeling stages below run
+	// where no request context reaches, so they only ever feed the span
+	// histogram.
+	StageFeatureBuild
+	// StageLabelWorkload, StageLabelQueries and StageLabelSegments cover
+	// exact ground-truth construction (internal/workload).
+	StageLabelWorkload
+	StageLabelQueries
+	StageLabelSegments
 	numStages
 )
 
-// stageNames renders Stage values in JSON and logs.
+// stageNames renders Stage values in metrics, JSON and logs.
 var stageNames = [numStages]string{
 	"cache_lookup", "cache_fill", "global_route", "local_eval",
-	"merge", "pool", "fallback",
+	"merge", "pool", "fallback", "feature_build",
+	"label_workload", "label_queries", "label_segments",
 }
 
 // String implements fmt.Stringer.
@@ -151,7 +165,7 @@ func (f Flags) Names() []string {
 // so call sites need no sampled/unsampled branches:
 //
 //	tr := reqtrace.FromContext(ctx) // nil when unsampled
-//	st := tr.StartStage(reqtrace.StageGlobalRoute)
+//	st := reqtrace.StartStage(tr, reqtrace.StageGlobalRoute)
 //	... stage work ...
 //	st.End()
 type Trace struct {
@@ -220,31 +234,45 @@ func (t *Trace) SetOutcome(est float64, err error) {
 	}
 }
 
-// StageTimer measures one stage of a traced request; the zero value (from
-// a nil Trace) is a no-op with no clock read.
+// StageTimer measures one stage; the zero value (no trace, telemetry off)
+// is a no-op with no clock read.
 type StageTimer struct {
 	t     *Trace
+	rec   telemetry.Recorder
 	stage Stage
 	start time.Time
 }
 
-// StartStage opens a stage timer. On a nil Trace it returns the zero
-// timer without reading the clock. Stages may run more than once per
-// request (e.g. a cache-miss request routes twice); elapsed times
-// accumulate.
-func (t *Trace) StartStage(s Stage) StageTimer {
-	if t == nil {
-		return StageTimer{}
+// StartStage opens stage s for both observers from one clock read: t (nil
+// when the request is unsampled or the caller has no request) accumulates
+// the elapsed time into its StageNs slot, and a live telemetry recorder
+// observes it into simquery_stage_seconds{stage=s}. With neither, it
+// returns the zero timer at the cost of one atomic load. Stages may run
+// more than once per request (e.g. a cache-miss request routes twice);
+// trace times accumulate.
+func StartStage(t *Trace, s Stage) StageTimer {
+	rec := telemetry.Default()
+	if !rec.Enabled() {
+		if t == nil {
+			return StageTimer{}
+		}
+		rec = nil
 	}
-	return StageTimer{t: t, stage: s, start: time.Now()}
+	return StageTimer{t: t, rec: rec, stage: s, start: time.Now()}
 }
 
-// End accumulates the stage's elapsed time. No-op on the zero timer.
+// End records the stage's elapsed time. No-op on the zero timer.
 func (st StageTimer) End() {
-	if st.t == nil {
+	if st.t == nil && st.rec == nil {
 		return
 	}
-	st.t.StageNs[st.stage] += time.Since(st.start).Nanoseconds()
+	d := time.Since(st.start)
+	if st.t != nil {
+		st.t.StageNs[st.stage] += d.Nanoseconds()
+	}
+	if st.rec != nil {
+		st.rec.ObserveDurationLabeled(telemetry.MetricStageSeconds, telemetry.LabelStage, st.stage.String(), d)
+	}
 }
 
 // Finish seals the trace — computes the end-to-end latency and publishes

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"simquery/internal/telemetry"
 )
 
 // newTestTracer installs a tracer for the test and restores the previous
@@ -63,7 +65,7 @@ func TestStageAccumulationAndOutcome(t *testing.T) {
 	}
 	// The same stage may run more than once; elapsed times accumulate.
 	for i := 0; i < 2; i++ {
-		st := tr.StartStage(StageGlobalRoute)
+		st := StartStage(tr, StageGlobalRoute)
 		time.Sleep(100 * time.Microsecond)
 		st.End()
 	}
@@ -127,7 +129,7 @@ func TestNilTraceSafety(t *testing.T) {
 	tr.SetFlag(FlagShed)
 	tr.AddPoolTasks(4)
 	tr.SetOutcome(1, errors.New("x"))
-	st := tr.StartStage(StageLocalEval)
+	st := StartStage(tr, StageLocalEval)
 	st.End()
 	tr.Finish()
 	if tr.Flags() != 0 {
@@ -243,7 +245,7 @@ func TestChaosTraceRing(t *testing.T) {
 			defer writerWg.Done()
 			for i := 0; i < perWriter; i++ {
 				_, tt := StartRequest(context.Background(), "GL", 0.5)
-				st := tt.StartStage(StageLocalEval)
+				st := StartStage(tt, StageLocalEval)
 				st.End()
 				tt.SetOutcome(float64(i), nil)
 				tt.Finish()
@@ -302,9 +304,58 @@ func BenchmarkSampledRequest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, tr := StartRequest(ctx, "GL-CNN", 0.5)
-		st := tr.StartStage(StageLocalEval)
+		st := StartStage(tr, StageLocalEval)
 		st.End()
 		tr.SetOutcome(1, nil)
 		tr.Finish()
+	}
+}
+
+// TestStartStageFeedsBothObservers pins the one-helper contract: a single
+// StartStage/End pair lands in the request trace and in the Prometheus span
+// histogram with the same duration; either observer alone works; with both
+// off the timer is the zero value and costs no allocation.
+func TestStartStageFeedsBothObservers(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(nil)
+	stageCount := func(s Stage) uint64 {
+		snap, _ := reg.HistogramSnapshotOf(telemetry.MetricStageSeconds, s.String())
+		return snap.Count
+	}
+
+	tr := NewDetached("gl+", 0.5)
+	st := StartStage(tr, StageMerge)
+	time.Sleep(time.Millisecond)
+	st.End()
+	if tr.StageNs[StageMerge] < int64(time.Millisecond) || stageCount(StageMerge) != 1 {
+		t.Fatalf("one pair: trace %d ns, histogram %d samples; want ≥1ms and 1", tr.StageNs[StageMerge], stageCount(StageMerge))
+	}
+	snap, _ := reg.HistogramSnapshotOf(telemetry.MetricStageSeconds, StageMerge.String())
+	if got := int64(snap.Sum * 1e9); got < tr.StageNs[StageMerge]-1000 || got > tr.StageNs[StageMerge]+1000 {
+		t.Fatalf("histogram saw %d ns, trace %d ns: not one clock pair", got, tr.StageNs[StageMerge])
+	}
+
+	// No request: the histogram alone (feature build, labeling).
+	StartStage(nil, StageFeatureBuild).End()
+	if stageCount(StageFeatureBuild) != 1 {
+		t.Fatal("trace-less stage not recorded in the histogram")
+	}
+
+	// Telemetry off: the trace alone.
+	telemetry.SetDefault(nil)
+	st = StartStage(tr, StageLocalEval)
+	st.End()
+	if tr.StageNs[StageLocalEval] <= 0 || stageCount(StageLocalEval) != 0 {
+		t.Fatal("telemetry-off stage must reach the trace only")
+	}
+	if StartStage(nil, StageLocalEval) != (StageTimer{}) {
+		t.Fatal("both observers off: want the zero timer")
+	}
+	if raceEnabled {
+		return
+	}
+	if a := testing.AllocsPerRun(1000, func() { StartStage(nil, StageLocalEval).End() }); a != 0 {
+		t.Fatalf("both observers off: %g allocs/op", a)
 	}
 }

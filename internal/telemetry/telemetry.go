@@ -1,8 +1,9 @@
 // Package telemetry is the stdlib-only observability substrate for the
 // serving and training paths: atomic counters, gauges, and lock-free
-// fixed-bucket histograms with p50/p95/p99 snapshots, a lightweight span
-// API for per-stage timings, and a registry that renders everything in
-// Prometheus text format (plus an expvar snapshot).
+// fixed-bucket histograms with p50/p95/p99 snapshots, and a registry that
+// renders everything in Prometheus text format (plus an expvar snapshot).
+// Per-stage timings land in MetricStageSeconds through
+// internal/reqtrace.StartStage, the one stage helper.
 //
 // The design goal is that instrumentation is free when telemetry is off:
 // every hot path records through the Recorder interface, whose default
@@ -17,7 +18,6 @@
 package telemetry
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
@@ -40,7 +40,8 @@ const (
 	// batch path, labeled by method.
 	MetricBatchFallback = "simquery_batch_serial_fallback_total"
 	// MetricStageSeconds is the span histogram: time per pipeline stage,
-	// labeled by stage (see the Stage* constants).
+	// labeled by stage. Stages are opened through reqtrace.StartStage, which
+	// owns the stage names.
 	MetricStageSeconds = "simquery_stage_seconds"
 	// MetricRoutingSelectivity is the fraction of local models the global
 	// model selects per query — the paper's pruning claim as a live signal.
@@ -171,19 +172,6 @@ const (
 	MetricRetrainSeconds = "simquery_retrain_seconds"
 )
 
-// Span taxonomy: the stage label values of MetricStageSeconds. The serving
-// pipeline decomposes as feature build → global routing → local sub-batch
-// eval → merge; labeling stages cover ground-truth construction.
-const (
-	StageFeatureBuild  = "feature_build"
-	StageGlobalRoute   = "global_route"
-	StageLocalEval     = "local_eval"
-	StageMerge         = "merge"
-	StageLabelWorkload = "label_workload"
-	StageLabelQueries  = "label_queries"
-	StageLabelSegments = "label_segments"
-)
-
 // Label keys used by the standard families. LabelFamily groups the probe
 // accuracy series by estimator family (Describer.Family values), and
 // LabelTauBand buckets them by threshold quartile.
@@ -271,73 +259,4 @@ func SetDefault(rec Recorder) {
 		return
 	}
 	defaultRec.Store(&rec)
-}
-
-// Span measures one stage of a pipeline. The zero Span is a valid no-op,
-// so disabled telemetry costs one atomic load and one interface call per
-// span — no clock read, no allocation.
-type Span struct {
-	rec   Recorder
-	stage string
-	start time.Time
-}
-
-// StartStage opens a span against the process-wide recorder. Use this from
-// hot paths that carry no context.Context:
-//
-//	sp := telemetry.StartStage(telemetry.StageGlobalRoute)
-//	... stage work ...
-//	sp.End()
-func StartStage(stage string) Span {
-	rec := Default()
-	if !rec.Enabled() {
-		return Span{}
-	}
-	return Span{rec: rec, stage: stage, start: time.Now()}
-}
-
-// End records the span's elapsed time into MetricStageSeconds under its
-// stage label. End on a zero Span is a no-op.
-func (s Span) End() {
-	if s.rec == nil {
-		return
-	}
-	s.rec.ObserveDurationLabeled(MetricStageSeconds, LabelStage, s.stage, time.Since(s.start))
-}
-
-// ctxKey is the context key type for a per-request Recorder.
-type ctxKey struct{}
-
-// NewContext returns a context carrying rec; StartSpan and FromContext
-// prefer it over the process default.
-func NewContext(ctx context.Context, rec Recorder) context.Context {
-	return context.WithValue(ctx, ctxKey{}, rec)
-}
-
-// FromContext returns the Recorder carried by ctx, falling back to
-// Default().
-func FromContext(ctx context.Context) Recorder {
-	if ctx != nil {
-		if rec, ok := ctx.Value(ctxKey{}).(Recorder); ok && rec != nil {
-			return rec
-		}
-	}
-	return Default()
-}
-
-// StartSpan opens a span against the context's recorder (see StartStage
-// for the context-free form):
-//
-//	ctx, sp := telemetry.StartSpan(ctx, "global_route")
-//	defer sp.End()
-//
-// The returned context is the input context (spans are leaf measurements,
-// not a propagated trace tree); it is returned to keep call sites shaped
-// like conventional tracing APIs.
-func StartSpan(ctx context.Context, stage string) (context.Context, Span) {
-	rec := FromContext(ctx)
-	if !rec.Enabled() {
-		return ctx, Span{}
-	}
-	return ctx, Span{rec: rec, stage: stage, start: time.Now()}
 }

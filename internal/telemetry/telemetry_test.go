@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"math"
 	"net/http/httptest"
 	"strconv"
@@ -124,8 +123,8 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 
 func TestRegistryHistogramAndDuration(t *testing.T) {
 	r := NewRegistry()
-	r.ObserveDurationLabeled(MetricStageSeconds, LabelStage, StageGlobalRoute, 2*time.Millisecond)
-	snap, ok := r.HistogramSnapshotOf(MetricStageSeconds, StageGlobalRoute)
+	r.ObserveDurationLabeled(MetricStageSeconds, LabelStage, "global_route", 2*time.Millisecond)
+	snap, ok := r.HistogramSnapshotOf(MetricStageSeconds, "global_route")
 	if !ok || snap.Count != 1 {
 		t.Fatalf("stage histogram missing: ok=%v snap=%+v", ok, snap)
 	}
@@ -268,34 +267,14 @@ func TestDefaultRecorderSwap(t *testing.T) {
 	if Default() != Recorder(r) {
 		t.Error("SetDefault did not install registry")
 	}
-	sp := StartStage(StageMerge)
-	sp.End()
-	if snap, ok := r.HistogramSnapshotOf(MetricStageSeconds, StageMerge); !ok || snap.Count != 1 {
-		t.Errorf("span not recorded: ok=%v snap=%+v", ok, snap)
+	Default().ObserveDurationLabeled(MetricStageSeconds, LabelStage, "merge", time.Millisecond)
+	if snap, ok := r.HistogramSnapshotOf(MetricStageSeconds, "merge"); !ok || snap.Count != 1 {
+		t.Errorf("observation through Default() not recorded: ok=%v snap=%+v", ok, snap)
 	}
 	SetDefault(nil)
 	if _, ok := Default().(Nop); !ok {
 		t.Errorf("SetDefault(nil) did not restore Nop: %T", Default())
 	}
-}
-
-func TestSpanContext(t *testing.T) {
-	r := NewRegistry()
-	ctx := NewContext(context.Background(), r)
-	if FromContext(ctx) != Recorder(r) {
-		t.Error("FromContext did not return the context recorder")
-	}
-	if _, ok := FromContext(context.Background()).(Nop); !ok {
-		t.Errorf("FromContext without value: %T", FromContext(context.Background()))
-	}
-	_, sp := StartSpan(ctx, StageFeatureBuild)
-	sp.End()
-	if snap, ok := r.HistogramSnapshotOf(MetricStageSeconds, StageFeatureBuild); !ok || snap.Count != 1 {
-		t.Errorf("context span not recorded: ok=%v snap=%+v", ok, snap)
-	}
-	// Disabled recorder → zero span, End is a no-op.
-	_, sp2 := StartSpan(context.Background(), StageMerge)
-	sp2.End()
 }
 
 func TestNopZeroAlloc(t *testing.T) {
@@ -304,8 +283,7 @@ func TestNopZeroAlloc(t *testing.T) {
 		rec := Default()
 		rec.CountLabeled(MetricEstimatesTotal, LabelMethod, "gl+", 1)
 		rec.ObserveLabeled(MetricEstimateLatency, LabelMethod, "gl+", 0.001)
-		sp := StartStage(StageGlobalRoute)
-		sp.End()
+		rec.ObserveDurationLabeled(MetricStageSeconds, LabelStage, "global_route", time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Errorf("nop path allocates: %g allocs/op", allocs)
@@ -352,8 +330,6 @@ func BenchmarkNopRecorder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := Default()
 		rec.ObserveLabeled(MetricEstimateLatency, LabelMethod, "gl+", 0.001)
-		sp := Span{}
-		sp.End()
 	}
 }
 

@@ -171,20 +171,16 @@ offer:
 	}
 }
 
-// DoCtx is Do with flight-recorder attribution: when ctx carries a
-// sampled reqtrace.Trace, the pooled region's wall time accumulates into
-// StagePool and the task count into PoolTasks. An untraced context (the
-// common case) costs one context value lookup and falls straight through
-// to Do.
+// DoCtx is Do timed as the pool stage: the region's wall time lands in
+// simquery_stage_seconds{stage="pool"} when telemetry is live and, when ctx
+// carries a sampled reqtrace.Trace, in the trace together with the task
+// count. With neither (the common case) it costs one context value lookup
+// and one atomic load on top of Do.
 func (p *Pool) DoCtx(ctx context.Context, n int, fn func(task int)) {
 	tr := reqtrace.FromContext(ctx)
-	if tr == nil {
-		p.Do(n, fn)
-		return
-	}
-	st := tr.StartStage(reqtrace.StagePool)
-	tr.AddPoolTasks(n)
+	st := reqtrace.StartStage(tr, reqtrace.StagePool)
 	defer st.End()
+	tr.AddPoolTasks(n)
 	p.Do(n, fn)
 }
 

@@ -18,6 +18,7 @@ import (
 	"simquery/internal/cluster"
 	"simquery/internal/dataset"
 	"simquery/internal/dist"
+	"simquery/internal/reqtrace"
 	"simquery/internal/telemetry"
 )
 
@@ -99,7 +100,7 @@ func BuildSearch(ds *dataset.Dataset, cfg SearchConfig) (*SearchWorkload, error)
 	}
 
 	packed := packIfHamming(ds)
-	sp := telemetry.StartStage(telemetry.StageLabelWorkload)
+	sp := reqtrace.StartStage(nil, reqtrace.StageLabelWorkload)
 	defer sp.End()
 	w := &SearchWorkload{}
 	w.Train = labelPoints(ds, packed, trainIdx, trainSels, cfg.Workers)
@@ -158,7 +159,7 @@ func geometricSelectivities(rng *rand.Rand, t int, max float64) []float64 {
 // parallel. Each worker computes one distance array per query point and
 // derives all of its thresholds from it.
 func labelPoints(ds *dataset.Dataset, packed []dist.BitVector, idx []int, sels [][]float64, workers int) []Query {
-	sp := telemetry.StartStage(telemetry.StageLabelQueries)
+	sp := reqtrace.StartStage(nil, reqtrace.StageLabelQueries)
 	out := make([]Query, 0, len(idx)*len(sels[0]))
 	results := make([][]Query, len(idx))
 	var wg sync.WaitGroup
@@ -268,7 +269,7 @@ func LabelPairs(ds *dataset.Dataset, vecs [][]float64, taus []float64, workers i
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sp := telemetry.StartStage(telemetry.StageLabelQueries)
+	sp := reqtrace.StartStage(nil, reqtrace.StageLabelQueries)
 	defer func() {
 		sp.End()
 		telemetry.Default().Count(telemetry.MetricLabeledQueriesTotal, int64(len(vecs)))
@@ -306,7 +307,7 @@ func JoinSegLabels(ds *dataset.Dataset, assignments []int, k int, vecs [][]float
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sp := telemetry.StartStage(telemetry.StageLabelSegments)
+	sp := reqtrace.StartStage(nil, reqtrace.StageLabelSegments)
 	defer sp.End()
 	packed := packIfHamming(ds)
 	out := make([][]float64, len(vecs))
@@ -339,7 +340,7 @@ func AttachSegmentLabels(ds *dataset.Dataset, seg *cluster.Segmentation, queries
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sp := telemetry.StartStage(telemetry.StageLabelSegments)
+	sp := reqtrace.StartStage(nil, reqtrace.StageLabelSegments)
 	defer sp.End()
 	packed := packIfHamming(ds)
 	var wg sync.WaitGroup
